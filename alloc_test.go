@@ -105,8 +105,8 @@ func TestControllerSubmitDARPSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// The power-state machine path — heap re-arms, power-down entries,
-// demand wakes — must be allocation-free once the timer heap is warm.
+// The power-state machine path — deadline re-arms, power-down entries,
+// demand wakes — must be allocation-free once warm.
 func TestPowerStateCycleSteadyStateAllocFree(t *testing.T) {
 	cfg := smartrefresh.Table1_2GB()
 	ctl, err := smartrefresh.NewController(cfg, smartrefresh.NewSmartPolicy(cfg),
@@ -134,5 +134,48 @@ func TestPowerStateCycleSteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("steady-state power-state cycle allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// The idle refresh-wake path: with no demand at all, every CBR refresh
+// wakes a rank sleeping in PRE-PDN-slow, and the rank re-walks the
+// ladder (ACT-PDN skipped, PRE-PDN fast, PRE-PDN slow) as soon as the
+// refresh drains — the loop that dominates the idle-OS workload. The
+// ladder-full power-down rungs are armed; its self-refresh rungs are
+// not, because with no demand they would put every rank to sleep after
+// 200 us, and a refresh to a self-refreshing rank is dropped instead of
+// waking it.
+func TestIdleRefreshWakeSteadyStateAllocFree(t *testing.T) {
+	cfg := smartrefresh.Table1_2GB()
+	var ladder smartrefresh.PowerStateConfig
+	for _, p := range smartrefresh.PowerStatePolicies() {
+		if p.Name == "ladder-full" {
+			ladder = p.Cfg
+		}
+	}
+	ladder.SRSlowAfter = 0
+	ctl, err := smartrefresh.NewController(cfg, smartrefresh.NewCBRPolicy(cfg),
+		smartrefresh.ControllerOptions{PowerStates: ladder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := cfg.RefreshInterval() / smartrefresh.Duration(cfg.Geometry.TotalRows())
+	var now smartrefresh.Time
+	step := func() {
+		now += smartrefresh.Time(tick)
+		ctl.AdvanceTo(now)
+	}
+	for n := 0; n < 4096; n++ {
+		step()
+	}
+	before := ctl.Module().Stats()
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Errorf("steady-state idle refresh-wake allocates %.1f allocs/op, want 0", avg)
+	}
+	after := ctl.Module().Stats()
+	// AllocsPerRun makes one warm-up call plus 200 measured ones; each
+	// refresh must have re-entered power-down twice (fast, then slow).
+	if refs, pdn := after.RefreshOps-before.RefreshOps, after.PowerDownEntries-before.PowerDownEntries; refs < 200 || pdn < 2*refs {
+		t.Errorf("%d refreshes drove %d power-down entries; want >= 200 refreshes, 2 entries each", refs, pdn)
 	}
 }

@@ -98,6 +98,8 @@ func run(ctx context.Context, args []string) error {
 	if err := tf.Start(); err != nil {
 		return err
 	}
+	// Completes the profiles on exit paths that skip Finish.
+	defer tf.StopProfiles()
 
 	var checkpoint *experiment.Checkpoint
 	switch {

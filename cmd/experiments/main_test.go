@@ -23,6 +23,28 @@ func TestRunOneFigureSubset(t *testing.T) {
 	}
 }
 
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := run(context.Background(), []string{
+		"-figures", "fig6", "-benchmarks", "fasta",
+		"-warmup-ms", "16", "-measure-ms", "16", "-quiet",
+		"-cpuprofile", cpu, "-memprofile", mem,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
+	}
+}
+
 func TestRunCSVFormat(t *testing.T) {
 	err := run(context.Background(), []string{
 		"-figures", "fig8", "-benchmarks", "gcc",

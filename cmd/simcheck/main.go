@@ -74,6 +74,8 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 		fmt.Fprintln(w, "simcheck:", err)
 		return 2
 	}
+	// Completes the profiles on exit paths that skip Finish.
+	defer tf.StopProfiles()
 
 	scenarios := make([]check.Scenario, 0, *seeds)
 	for i := 0; i < *seeds; i++ {

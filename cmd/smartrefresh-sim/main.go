@@ -49,7 +49,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("smartrefresh-sim", flag.ContinueOnError)
 	cfgName := fs.String("config", "table1-2gb", "module preset: "+strings.Join(presetNames(), ", "))
 	policyName := fs.String("policy", "smart", "refresh policy: cbr, smart, burst, none, oracle, smart-retention, darp, sarp, raidr")
-	benchmark := fs.String("benchmark", "gcc", "benchmark profile (see -list); ignored with -trace")
+	benchmark := fs.String("benchmark", "gcc", "benchmark profile (see -list; idle-os is the section 4.6 idle OS); ignored with -trace")
 	tracePath := fs.String("trace", "", "replay a trace stream instead of a synthetic benchmark (file path, or '-' for stdin; binary/text, gzip auto-detected)")
 	warmupMS := fs.Int("warmup-ms", 64, "warmup excluded from measurement, ms")
 	measureMS := fs.Int("measure-ms", 256, "measured window, ms")
@@ -83,6 +83,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := tf.Start(); err != nil {
 		return err
 	}
+	// Completes the profiles on exit paths that skip Finish.
+	defer tf.StopProfiles()
 
 	if *serveAddr != "" {
 		return runServe(*serveAddr, stdout)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,6 +41,28 @@ func TestRunBenchmark(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := runQuiet(t,
+		"-config", "table1-2gb", "-policy", "cbr", "-benchmark", "fasta",
+		"-warmup-ms", "4", "-measure-ms", "4",
+		"-cpuprofile", cpu, "-memprofile", mem,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
 	}
 }
 
@@ -455,6 +478,45 @@ func TestServerRejectsBadParams(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", url, resp.StatusCode)
 		}
+	}
+}
+
+// TestServerBufferCap: a read-ahead buffer exactly at the cap is served;
+// one KiB over it is a 400.
+func TestServerBufferCap(t *testing.T) {
+	srv := httptest.NewServer(newServeMux())
+	defer srv.Close()
+	recs := testTraceRecords(t, 1)
+	post := func(kb int) *http.Response {
+		url := fmt.Sprintf("%s/replay?buffer-kb=%d", srv.URL, kb)
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(encodeRecords(t, recs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post(maxServeBufferKB)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("buffer-kb=%d: status %d, want 200", maxServeBufferKB, resp.StatusCode)
+	}
+	var final replayResponse
+	if err := json.Unmarshal(bytes.TrimSpace(body), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Type != "results" || final.Records != uint64(len(recs)) {
+		t.Errorf("terminal line = %+v, want results over %d records", final, len(recs))
+	}
+
+	resp = post(maxServeBufferKB + 1)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("buffer-kb=%d: status %d, want 400", maxServeBufferKB+1, resp.StatusCode)
 	}
 }
 

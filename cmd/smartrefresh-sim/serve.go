@@ -32,6 +32,11 @@ import (
 // after SIGINT/SIGTERM before giving up on a graceful drain.
 const serveShutdownGrace = 5 * time.Second
 
+// maxServeBufferKB caps a request's buffer-kb read-ahead (64 MiB): the
+// buffer is allocated up front, so an uncapped query could make one
+// request claim gigabytes.
+const maxServeBufferKB = 64 << 10
+
 // replayResponse is the terminal NDJSON line of a /replay request.
 type replayResponse struct {
 	Type         string           `json:"type"` // "results" or "error"
@@ -98,8 +103,8 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	bufKB := trace.DefaultStreamBuffer / 1024
 	if v := q.Get("buffer-kb"); v != "" {
-		if bufKB, err = strconv.Atoi(v); err != nil || bufKB <= 0 {
-			http.Error(w, fmt.Sprintf("bad buffer-kb %q", v), http.StatusBadRequest)
+		if bufKB, err = strconv.Atoi(v); err != nil || bufKB <= 0 || bufKB > maxServeBufferKB {
+			http.Error(w, fmt.Sprintf("bad buffer-kb %q (want 1..%d)", v, maxServeBufferKB), http.StatusBadRequest)
 			return
 		}
 	}

@@ -17,11 +17,15 @@ import (
 type CBR struct {
 	geom     dram.Geometry
 	interval sim.Duration
-	start    sim.Time
-	tick     int64    // next refresh slot index
-	nextAt   sim.Time // slotTime(tick), cached for the hot NextTick path
-	bank     int      // next flat bank index (round-robin)
-	stats    PolicyStats
+	// totalRows and totalBanks cache the geometry's products, so the
+	// per-tick path never copies the Geometry into its value methods.
+	totalRows  int64
+	totalBanks int
+	start      sim.Time
+	tick       int64    // next refresh slot index
+	nextAt     sim.Time // slotTime(tick), cached for the hot NextTick path
+	bank       int      // next flat bank index (round-robin)
+	stats      PolicyStats
 }
 
 // NewCBR constructs the distributed CBR policy.
@@ -29,7 +33,7 @@ func NewCBR(g dram.Geometry, interval sim.Duration) *CBR {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CBR{geom: g, interval: interval}
+	c := &CBR{geom: g, interval: interval, totalRows: int64(g.TotalRows()), totalBanks: g.TotalBanks()}
 	c.Reset(0)
 	return c
 }
@@ -52,10 +56,9 @@ func (c *CBR) OnRowRestore(sim.Time, dram.RowID) {}
 // slotTime returns the time of refresh slot k, spreading TotalRows slots
 // evenly over each interval without cumulative drift.
 func (c *CBR) slotTime(k int64) sim.Time {
-	total := int64(c.geom.TotalRows())
-	whole := k / total
-	frac := k % total
-	return c.start + sim.Time(whole)*c.interval + sim.Time(frac)*c.interval/sim.Time(total)
+	whole := k / c.totalRows
+	frac := k % c.totalRows
+	return c.start + sim.Time(whole)*c.interval + sim.Time(frac)*c.interval/sim.Time(c.totalRows)
 }
 
 // NextTick implements Policy.
@@ -63,10 +66,9 @@ func (c *CBR) NextTick() (sim.Time, bool) { return c.nextAt, true }
 
 // Advance implements Policy.
 func (c *CBR) Advance(t sim.Time, dst []Command) []Command {
-	banks := c.geom.TotalBanks()
 	for c.nextAt <= t {
 		b := c.bank
-		c.bank = (c.bank + 1) % banks
+		c.bank = (c.bank + 1) % c.totalBanks
 		c.tick++
 		c.nextAt = c.slotTime(c.tick)
 		ch := b / (c.geom.Ranks * c.geom.Banks)

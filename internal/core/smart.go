@@ -82,9 +82,13 @@ func (c SmartConfig) Validate() error {
 // Rows restored by demand traffic have their counters reset and are not
 // refreshed until the counter next reaches zero.
 type Smart struct {
-	geom     dram.Geometry
 	interval sim.Duration
 	cfg      SmartConfig
+
+	// nRanks, nBanks and nRows are the geometry's dimensions, kept
+	// instead of the Geometry itself so the flat row index arithmetic
+	// of OnRowRestore and runTick never copies the struct.
+	nRanks, nBanks, nRows int
 
 	// counters is stored position-major: slot pos*Segments+seg holds the
 	// counter of logical row seg*rowsPerSeg+pos. A tick indexes one
@@ -145,9 +149,11 @@ func NewSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig) *Smart {
 		panic(fmt.Sprintf("core: %d rows not divisible into %d segments", total, cfg.Segments))
 	}
 	s := &Smart{
-		geom:       g,
 		interval:   interval,
 		cfg:        cfg,
+		nRanks:     g.Ranks,
+		nBanks:     g.Banks,
+		nRows:      g.Rows,
 		counters:   make([]uint8, total),
 		zeroCnt:    make([]uint16, total/cfg.Segments),
 		modulus:    1 << cfg.CounterBits,
@@ -264,7 +270,7 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 		// Counters are switched off; only the access-density window runs.
 		return
 	}
-	flat := row.Flat(s.geom)
+	flat := s.flatRow(row)
 	slot := s.slot(flat)
 	if s.counters[slot] == 0 {
 		s.zeroCnt[flat%s.rowsPerSeg]--
@@ -272,6 +278,11 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 	s.counters[slot] = s.resetValue(flat)
 	s.stats.AccessResets++
 	s.stats.CounterWrites++
+}
+
+// flatRow is RowID.Flat over the cached geometry.
+func (s *Smart) flatRow(row dram.RowID) int {
+	return ((row.Channel*s.nRanks+row.Rank)*s.nBanks+row.Bank)*s.nRows + row.Row
 }
 
 // NextTick implements Policy.
@@ -346,14 +357,17 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 				flat := seg*s.rowsPerSeg + pos
 				slots[seg] = s.resetValue(flat)
 				s.zeroCnt[pos]--
-				row := dram.RowFromFlat(s.geom, flat)
 				if len(s.pending) >= s.cfg.QueueDepth {
 					// Unreachable when QueueDepth >= Segments because the
 					// queue drains every Advance; guarded as an invariant.
 					panic("core: pending refresh request queue overflow")
 				}
+				fbank := flat / s.nRows
+				frank := fbank / s.nBanks
 				s.pending = append(s.pending, Command{
-					Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly,
+					Bank: dram.BankID{Channel: frank / s.nRanks, Rank: frank % s.nRanks, Bank: fbank % s.nBanks},
+					Row:  flat % s.nRows,
+					Kind: dram.RefreshRASOnly,
 				})
 				generated++
 			} else {
@@ -390,7 +404,7 @@ func (s *Smart) maybeSwitchMode(now sim.Time) {
 		return
 	}
 	for now >= s.windowStart+s.interval {
-		rows := float64(s.geom.TotalRows())
+		rows := float64(len(s.counters))
 		density := float64(s.windowAccesses) / rows
 		boundary := s.windowStart + s.interval
 		if !s.disabled && density < s.cfg.DisableBelow {
@@ -443,7 +457,7 @@ func (s *Smart) Disabled() bool { return s.disabled }
 
 // CounterValue exposes a row's counter (for tests).
 func (s *Smart) CounterValue(row dram.RowID) uint8 {
-	return s.counters[s.slot(row.Flat(s.geom))]
+	return s.counters[s.slot(s.flatRow(row))]
 }
 
 // CounterAccessPeriod returns interval / 2^bits (section 4.2).

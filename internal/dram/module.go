@@ -286,7 +286,7 @@ type rankState struct {
 
 // activateOKAt returns the earliest time a new activate may issue in the
 // rank under tRRD and tFAW.
-func (r *rankState) activateOKAt(t Timing) sim.Time {
+func (r *rankState) activateOKAt(t *Timing) sim.Time {
 	earliest := r.lastActivate + t.TRRD
 	// The oldest of the last four activates bounds the fifth.
 	oldest := r.actWindow[r.actWindowPos]
@@ -313,6 +313,14 @@ type Module struct {
 	geom Geometry
 	tim  Timing
 	clk  sim.Clock
+
+	// Hot-path constants derived from geom and tim at construction, so
+	// the per-command paths never copy the Geometry or Timing structs
+	// (both too large for register passing) into a by-value call.
+	nChannels, nRanks, nBanks, nRows, nColumns int
+	burst                                      sim.Duration // BurstDuration(BurstLength)
+	refPB                                      sim.Duration // PerBankRefreshDuration()
+	exitFast, exitSlow                         sim.Duration // PowerDownExitFast/Slow()
 
 	banks    []bankState
 	ranks    []rankState
@@ -359,6 +367,15 @@ func NewModule(g Geometry, t Timing) *Module {
 		geom:        g,
 		tim:         t,
 		clk:         sim.NewClock(t.TCK),
+		nChannels:   g.Channels,
+		nRanks:      g.Ranks,
+		nBanks:      g.Banks,
+		nRows:       g.Rows,
+		nColumns:    g.Columns,
+		burst:       t.BurstDuration(g.BurstLength),
+		refPB:       t.PerBankRefreshDuration(),
+		exitFast:    t.PowerDownExitFast(),
+		exitSlow:    t.PowerDownExitSlow(),
 		banks:       make([]bankState, g.TotalBanks()),
 		ranks:       make([]rankState, g.Channels*g.Ranks),
 		channels:    make([]channelState, g.Channels),
@@ -437,7 +454,19 @@ func (m *Module) Timing() Timing { return m.tim }
 // first to flush background-state residency up to the end of simulation.
 func (m *Module) Stats() ModuleStats { return m.stats }
 
-func (m *Module) rankIndex(ch, rank int) int { return ch*m.geom.Ranks + rank }
+func (m *Module) rankIndex(ch, rank int) int { return ch*m.nRanks + rank }
+
+// bankIndex is BankID.Flat over the cached geometry; the banks of flat
+// rank ri occupy [ri*nBanks, (ri+1)*nBanks).
+func (m *Module) bankIndex(ch, rank, bank int) int { return (ch*m.nRanks+rank)*m.nBanks + bank }
+
+// validRow is RowID.Valid over the cached geometry.
+func (m *Module) validRow(r RowID) bool {
+	return r.Channel >= 0 && r.Channel < m.nChannels &&
+		r.Rank >= 0 && r.Rank < m.nRanks &&
+		r.Bank >= 0 && r.Bank < m.nBanks &&
+		r.Row >= 0 && r.Row < m.nRows
+}
 
 func (m *Module) observe(t sim.Time) {
 	if t > m.now {
@@ -489,11 +518,11 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 // The request is presented at time t; if the bank is busy the access
 // stalls until it is ready.
 func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
-	if !addr.Valid(m.geom) {
+	if !m.validRow(addr.RowID) || addr.Column < 0 || addr.Column >= m.nColumns {
 		panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
 	}
 	m.observe(t)
-	bi := addr.BankOf().Flat(m.geom)
+	bi := m.bankIndex(addr.Channel, addr.Rank, addr.Bank)
 	ri := m.rankIndex(addr.Channel, addr.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: access to rank ch%d/rk%d in self-refresh", addr.Channel, addr.Rank))
@@ -515,43 +544,32 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	res.Issue = issue
 
 	cas := issue // when the column command can go
-	switch {
-	case b.openRow == addr.Row:
+	if b.openRow == addr.Row {
 		// Row hit: column command straight away.
 		res.RowHit = true
 		m.stats.RowHits++
-	case b.openRow == -1:
-		// Bank precharged: activate then column command.
-		m.stats.RowMisses++
-		act := sim.Max(issue, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(m.tim))
-		act = m.clk.Next(act)
-		m.openBank(b, ri, addr.Row, act)
-		m.ranks[ri].recordActivate(act)
-		m.stats.Activates++
-		b.activateOKAt = act + m.tim.TRC
-		b.prechargeOKAt = act + m.tim.TRAS
-		cas = m.clk.Next(act + m.tim.TRCD)
-		res.OpenedRow, res.OpenedRowSet = addr.RowID, true
-		res.ActivateAt = act
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdActivate, bi, addr.Row, act, cas)
+	} else {
+		act := issue
+		if b.openRow == -1 {
+			// Bank precharged: activate then column command.
+			m.stats.RowMisses++
+		} else {
+			// Conflict: close the open page (restoring its cells), then
+			// activate the requested row.
+			m.stats.RowConflicts++
+			res.Conflict = true
+			pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+			res.ClosedRow = RowID{Channel: addr.Channel, Rank: addr.Rank, Bank: addr.Bank, Row: b.openRow}
+			res.ClosedRowSet = true
+			if m.trace != nil {
+				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+			}
+			m.closeBank(b, ri, pre)
+			m.stats.Precharges++
+			act = pre + m.tim.TRP
 		}
-	default:
-		// Conflict: close the open page (restoring its cells), then
-		// activate the requested row.
-		m.stats.RowConflicts++
-		res.Conflict = true
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
-		res.ClosedRow = RowID{Channel: addr.Channel, Rank: addr.Rank, Bank: addr.Bank, Row: b.openRow}
-		res.ClosedRowSet = true
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
-		}
-		m.closeBank(b, ri, pre)
-		m.stats.Precharges++
-		act := sim.Max(pre+m.tim.TRP, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(m.tim))
+		act = sim.Max(act, b.activateOKAt)
+		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
 		act = m.clk.Next(act)
 		m.openBank(b, ri, addr.Row, act)
 		m.ranks[ri].recordActivate(act)
@@ -566,9 +584,8 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 		}
 	}
 
-	burst := m.tim.BurstDuration(m.geom.BurstLength)
 	dataStart := m.clk.Next(sim.Max(cas+m.tim.TCL, ch.busFreeAt))
-	dataDone := dataStart + burst
+	dataDone := dataStart + m.burst
 	ch.busFreeAt = dataDone
 	res.DataStart = dataStart
 	res.Done = dataDone
@@ -599,29 +616,26 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 // closed first (counted as a conflict refresh; this is the higher-energy
 // case the paper describes).
 func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
-	return m.refresh(t, row, RefreshRASOnly)
+	return m.refreshDur(t, row, RefreshRASOnly, m.tim.TRefreshRow)
 }
 
 // RefreshNextCBR performs a CBR refresh on the given bank: the module's
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
 func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	bi := bank.Flat(m.geom)
-	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
-	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
-	return m.refresh(t, row, RefreshCBR)
+	return m.refreshDur(t, m.nextCounterRow(bank), RefreshCBR, m.tim.TRefreshRow)
 }
 
 // CBRCounter exposes a bank's internal refresh counter (for tests).
 func (m *Module) CBRCounter(bank BankID) int {
-	return m.cbrCounters[bank.Flat(m.geom)]
+	return m.cbrCounters[m.bankIndex(bank.Channel, bank.Rank, bank.Bank)]
 }
 
 // nextCounterRow reads and advances a bank's internal refresh counter.
 func (m *Module) nextCounterRow(bank BankID) RowID {
-	bi := bank.Flat(m.geom)
+	bi := m.bankIndex(bank.Channel, bank.Rank, bank.Bank)
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: m.cbrCounters[bi]}
-	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.geom.Rows
+	m.cbrCounters[bi] = (m.cbrCounters[bi] + 1) % m.nRows
 	return row
 }
 
@@ -645,7 +659,7 @@ func subarrayRows(rows int) int {
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
 func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
-	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.tim.PerBankRefreshDuration())
+	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.refPB)
 }
 
 // RefreshBankOverlapped performs a per-bank refresh that parallelizes
@@ -658,39 +672,29 @@ func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
 // the hidden activate draws real current.
 func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 	row := m.nextCounterRow(bank)
-	if !row.Valid(m.geom) {
+	if !m.validRow(row) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
 	}
 	m.observe(t)
-	bi := row.BankOf().Flat(m.geom)
+	bi := m.bankIndex(row.Channel, row.Rank, row.Bank)
 	ri := m.rankIndex(row.Channel, row.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
 	}
 	b := &m.banks[bi]
-	dur := m.tim.PerBankRefreshDuration()
+	dur := m.refPB
 
 	res := RefreshResult{Row: row, Kind: RefreshPerBank}
 	issue := m.clk.Next(sim.Max(t, b.readyAt))
 	res.Issue = issue
 	start := issue
 
-	sameSub := b.openRow != -1 && b.openRow/m.subRows == row.Row/m.subRows
-	if sameSub {
+	if b.openRow != -1 && b.openRow/m.subRows == row.Row/m.subRows {
 		// The open page lives in the refreshing subarray: it must close
 		// first — the same conflict case as a blocking refresh.
-		res.ClosedOpenRow = true
-		res.ClosedRow = RowID{Channel: row.Channel, Rank: row.Rank, Bank: row.Bank, Row: b.openRow}
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
-		}
-		m.closeBank(b, ri, pre)
-		m.stats.Precharges++
-		m.stats.RefreshConflictOps++
-		start = m.clk.Next(pre + m.tim.TRP)
+		start = m.clk.Next(m.refreshClose(&res, bi, row, issue))
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 	m.ranks[ri].recordActivate(start)
 	done := m.clk.Next(start + dur)
 
@@ -734,35 +738,24 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 	// Close any open pages and find when the whole rank is quiet.
 	start := t
 	for bk := 0; bk < m.geom.Banks; bk++ {
-		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(m.geom)
+		bi := ri*m.nBanks + bk
 		b := &m.banks[bi]
 		res := &results[bk]
 		res.Kind = RefreshAllBank
 		res.Issue = m.clk.Next(sim.Max(t, b.readyAt))
 		if b.openRow != -1 {
-			res.ClosedOpenRow = true
-			res.ClosedRow = RowID{Channel: channel, Rank: rank, Bank: bk, Row: b.openRow}
-			pre := m.clk.Next(sim.Max(res.Issue, b.prechargeOKAt))
-			if m.trace != nil {
-				m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
-			}
-			m.closeBank(b, ri, pre)
-			m.stats.Precharges++
-			m.stats.RefreshConflictOps++
-			start = sim.Max(start, pre+m.tim.TRP)
+			start = sim.Max(start, m.refreshClose(res, bi, RowID{Channel: channel, Rank: rank, Bank: bk}, res.Issue))
 		}
 		start = sim.Max(start, sim.Max(res.Issue, b.activateOKAt))
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 	m.ranks[ri].recordActivate(start)
 	done := m.clk.Next(start + m.tim.AllBankRefreshDuration(m.geom.Banks))
 
 	for bk := 0; bk < m.geom.Banks; bk++ {
-		id := BankID{Channel: channel, Rank: rank, Bank: bk}
-		bi := id.Flat(m.geom)
+		bi := ri*m.nBanks + bk
 		b := &m.banks[bi]
-		row := m.nextCounterRow(id)
+		row := m.nextCounterRow(BankID{Channel: channel, Rank: rank, Bank: bk})
 		results[bk].Row = row
 		results[bk].Done = done
 		m.openBank(b, ri, row.Row, start)
@@ -780,17 +773,31 @@ func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult 
 	return results
 }
 
-func (m *Module) refresh(t sim.Time, row RowID, kind RefreshKind) RefreshResult {
-	return m.refreshDur(t, row, kind, m.tim.TRefreshRow)
+// refreshClose closes flat bank bi's open page ahead of a refresh of a
+// row in that bank issued at issue — a conflict refresh. The precharge
+// write-back restores the page's cells, which res reports as ClosedRow.
+// It returns when the precharge completes (tRP after it issues).
+func (m *Module) refreshClose(res *RefreshResult, bi int, in RowID, issue sim.Time) sim.Time {
+	b := &m.banks[bi]
+	res.ClosedOpenRow = true
+	res.ClosedRow = RowID{Channel: in.Channel, Rank: in.Rank, Bank: in.Bank, Row: b.openRow}
+	pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+	if m.trace != nil {
+		m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
+	}
+	m.closeBank(b, bi/m.nBanks, pre)
+	m.stats.Precharges++
+	m.stats.RefreshConflictOps++
+	return pre + m.tim.TRP
 }
 
 // refreshDur is the blocking refresh: the bank is fully occupied for dur.
 func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
-	if !row.Valid(m.geom) {
+	if !m.validRow(row) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
 	}
 	m.observe(t)
-	bi := row.BankOf().Flat(m.geom)
+	bi := m.bankIndex(row.Channel, row.Rank, row.Bank)
 	ri := m.rankIndex(row.Channel, row.Rank)
 	if m.ranks[ri].inSelfRefresh {
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
@@ -803,21 +810,10 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 
 	start := issue
 	if b.openRow != -1 {
-		// Close the open page first; its cells are restored by the
-		// precharge write-back.
-		res.ClosedOpenRow = true
-		res.ClosedRow = RowID{Channel: row.Channel, Rank: row.Rank, Bank: row.Bank, Row: b.openRow}
-		pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
-		}
-		m.closeBank(b, ri, pre)
-		m.stats.Precharges++
-		m.stats.RefreshConflictOps++
-		start = m.clk.Next(pre + m.tim.TRP)
+		start = m.clk.Next(m.refreshClose(&res, bi, row, issue))
 	}
 	start = sim.Max(start, b.activateOKAt)
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(m.tim)))
+	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 
 	// The refresh itself: internal activate + restore + precharge (the
 	// paper's 70 ns row refresh, or tRFCpb for a per-bank command). The
@@ -855,7 +851,7 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 
 // OpenRow reports the row currently open in a bank, or -1 if precharged.
 func (m *Module) OpenRow(bank BankID) int {
-	return m.banks[bank.Flat(m.geom)].openRow
+	return m.banks[m.bankIndex(bank.Channel, bank.Rank, bank.Bank)].openRow
 }
 
 // OpenRowFlat is OpenRow addressed by flat bank index — the controller's
@@ -871,14 +867,13 @@ func (m *Module) OpenRowFlat(flat int) int {
 // Memory controllers use this to close idle pages so ranks can enter
 // precharge power-down.
 func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
-	bi := bank.Flat(m.geom)
-	b := &m.banks[bi]
+	ri := m.rankIndex(bank.Channel, bank.Rank)
+	b := &m.banks[ri*m.nBanks+bank.Bank]
 	if b.openRow == -1 {
 		return RowID{}, false
 	}
 	pre := m.clk.Next(sim.Max(t, b.prechargeOKAt))
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: b.openRow}
-	ri := m.rankIndex(bank.Channel, bank.Rank)
 	m.closeBank(b, ri, pre)
 	m.stats.Precharges++
 	done := m.clk.Next(pre + m.tim.TRP)
@@ -890,7 +885,7 @@ func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
 
 // BankReadyAt reports the earliest time the bank accepts another command.
 func (m *Module) BankReadyAt(bank BankID) sim.Time {
-	return m.banks[bank.Flat(m.geom)].readyAt
+	return m.banks[m.bankIndex(bank.Channel, bank.Rank, bank.Bank)].readyAt
 }
 
 // InSelfRefresh reports whether the rank is in self-refresh mode.
@@ -920,17 +915,7 @@ func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 		panic(fmt.Sprintf("dram: self-refresh entry with %d open banks on ch%d/rk%d",
 			r.openBanks, channel, rank))
 	}
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
-		if ready := m.banks[bi].readyAt; ready > t {
-			t = ready
-		}
-	}
-	if r.lastUpdate > t {
-		t = r.lastUpdate
-	}
-	m.observe(t)
-	m.updateRank(ri, t)
+	t = m.settleRank(ri, t)
 	m.accumulatePowerDown(r, t)
 	if r.pdKind != PDNone {
 		// Descending from an explicit power-down state straight into
@@ -971,16 +956,41 @@ func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 		exitLat = m.tim.SelfRefreshSlowExit()
 	}
 	ready := m.clk.Next(t + exitLat)
-	// Every bank of the rank honours the exit latency.
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
-		bk := &m.banks[bi]
+	m.holdRank(ri, ready)
+	return ready
+}
+
+// rankBanks returns the bank states of flat rank ri.
+func (m *Module) rankBanks(ri int) []bankState {
+	return m.banks[ri*m.nBanks : (ri+1)*m.nBanks]
+}
+
+// settleRank clamps a rank-wide mode entry requested at t behind flat
+// rank ri's in-flight work (every bank's readyAt and the residency
+// clock), brings the residency accounting up to that point and returns
+// the effective entry time.
+func (m *Module) settleRank(ri int, t sim.Time) sim.Time {
+	banks := m.rankBanks(ri)
+	for i := range banks {
+		t = sim.Max(t, banks[i].readyAt)
+	}
+	t = sim.Max(t, m.ranks[ri].lastUpdate)
+	m.observe(t)
+	m.updateRank(ri, t)
+	return t
+}
+
+// holdRank makes every bank of flat rank ri honour a wake-up exit
+// latency: no command before ready.
+func (m *Module) holdRank(ri int, ready sim.Time) {
+	banks := m.rankBanks(ri)
+	for i := range banks {
+		bk := &banks[i]
 		bk.readyAt = sim.Max(bk.readyAt, ready)
 		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)
 		bk.prechargeOKAt = sim.Max(bk.prechargeOKAt, ready)
 	}
 	m.observe(ready)
-	return ready
 }
 
 // Finalize flushes background-state accounting up to time end and folds the

@@ -76,17 +76,7 @@ func (m *Module) EnterPowerDown(t sim.Time, channel, rank int, kind PowerDownKin
 		panic(fmt.Sprintf("dram: %v entry with %d open banks on ch%d/rk%d",
 			kind, r.openBanks, channel, rank))
 	}
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
-		if ready := m.banks[bi].readyAt; ready > t {
-			t = ready
-		}
-	}
-	if r.lastUpdate > t {
-		t = r.lastUpdate
-	}
-	m.observe(t)
-	m.updateRank(ri, t)
+	t = m.settleRank(ri, t)
 	if r.pdKind != PDNone {
 		m.foldPowerDown(r, t)
 	}
@@ -130,9 +120,9 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	}
 	m.observe(t)
 	m.updateRank(ri, t)
-	exit := m.tim.PowerDownExitFast()
+	exit := m.exitFast
 	if r.pdKind == PDPrechargeSlow {
-		exit = m.tim.PowerDownExitSlow()
+		exit = m.exitSlow
 	}
 	m.foldPowerDown(r, t)
 	r.pdKind = PDNone
@@ -140,15 +130,7 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 		r.idleSince = t // legacy power-down clock restarts now
 	}
 	ready := m.clk.Next(t + exit)
-	// Every bank of the rank honours the exit latency.
-	for b := 0; b < m.geom.Banks; b++ {
-		bi := (BankID{Channel: channel, Rank: rank, Bank: b}).Flat(m.geom)
-		bk := &m.banks[bi]
-		bk.readyAt = sim.Max(bk.readyAt, ready)
-		bk.activateOKAt = sim.Max(bk.activateOKAt, ready)
-		bk.prechargeOKAt = sim.Max(bk.prechargeOKAt, ready)
-	}
-	m.observe(ready)
+	m.holdRank(ri, ready)
 	return ready
 }
 

@@ -118,9 +118,12 @@ type Controller struct {
 	rowHits     stats.Counter
 	requests    stats.Counter
 
-	now       sim.Time
-	lastbusy  sim.Time // completion time of the latest demand access
-	refreshes map[dram.RefreshKind]uint64
+	now      sim.Time
+	lastbusy sim.Time // completion time of the latest demand access
+
+	// nRanks and nBanks cache Geometry.Ranks and Geometry.Banks for the
+	// per-request rank and flat-bank index arithmetic.
+	nRanks, nBanks int
 
 	idleClose   sim.Duration // page-close timeout (<0: never)
 	bankLastUse []sim.Time   // per flat bank: last demand activity
@@ -161,12 +164,13 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		idleClose = DefaultIdleClose
 	}
 	c := &Controller{
-		cfg:    cfg,
-		module: dram.NewModule(cfg.Geometry, cfg.Timing),
-		policy: policy,
-		mapper: NewMapper(cfg.Geometry, opts.Interleave),
+		cfg:         cfg,
+		module:      dram.NewModule(cfg.Geometry, cfg.Timing),
+		policy:      policy,
+		mapper:      NewMapper(cfg.Geometry, opts.Interleave),
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
-		refreshes:   map[dram.RefreshKind]uint64{},
+		nRanks:      cfg.Geometry.Ranks,
+		nBanks:      cfg.Geometry.Banks,
 		idleClose:   idleClose,
 		bankLastUse: make([]sim.Time, cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
@@ -407,14 +411,9 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	g := c.cfg.Geometry
-	rem := flat % (g.Ranks * g.Banks)
-	bank := dram.BankID{
-		Channel: flat / (g.Ranks * g.Banks),
-		Rank:    rem / g.Banks,
-		Bank:    rem % g.Banks,
-	}
-	if c.ps.enabled && c.ps.ranks[c.rankOf(bank.Channel, bank.Rank)].state == PSActPdn {
+	ri := flat / c.nBanks
+	bank := dram.BankID{Channel: ri / c.nRanks, Rank: ri % c.nRanks, Bank: flat % c.nBanks}
+	if c.ps.enabled && c.ps.ranks[ri].state == PSActPdn {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge
 		// can issue. It pays the tXP exit via the raised bank timings.
@@ -466,7 +465,6 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 		default:
 			res = c.module.RefreshNextCBR(due, cmd.Bank)
 		}
-		c.refreshes[res.Kind]++
 		if res.ClosedOpenRow {
 			// Closing the open page restored that row too.
 			c.restore(res.Issue, res.ClosedRow)
@@ -539,7 +537,7 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 		c.wakeRank(req.Time, addr.Channel, addr.Rank)
 	}
 	res := c.module.Access(req.Time, addr, req.Write)
-	flat := addr.BankOf().Flat(c.cfg.Geometry)
+	flat := (addr.Channel*c.nRanks+addr.Rank)*c.nBanks + addr.Bank
 	c.bankLastUse[flat] = res.Done
 	c.armIdleClose(flat)
 	c.noteDemand(res.Done, addr.Channel, addr.Rank)

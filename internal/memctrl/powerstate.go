@@ -26,11 +26,14 @@ import (
 //	                              SR-slow-wake    (IDD6L, tXSRD exit)
 //
 // Every rung is armed independently by its threshold; unarmed rungs are
-// skipped. The classic two-state configuration (only SelfRefreshAfter
-// armed) degenerates to the historical self-refresh controller: the
-// event sequence, module calls and statistics are bit-identical, because
-// the deadline heap presents exactly the (deadline, rank) pairs the old
-// linear scan computed, with the same lowest-rank tie-break.
+// skipped. Each rank holds exactly one live deadline (its next rung), and
+// the drain picks the earliest by a min-scan over the ranks: smallest
+// deadline first, ties to the lowest rank index. Controllers have at most
+// a handful of ranks (four in every preset), so the scan is cheaper than
+// any ordered structure, and it needs no stale-entry bookkeeping. The
+// classic two-state configuration (only SelfRefreshAfter armed)
+// degenerates to the historical self-refresh controller: the event
+// sequence, module calls and statistics are bit-identical.
 
 // PowerState is a rank's position on the power-state ladder as the
 // controller tracks it. The order is the descent order; comparisons in
@@ -156,9 +159,8 @@ type psState struct {
 	// advanced by finishPowerStates so a repeated Finish extends rather
 	// than double-counts.
 	enteredAt sim.Time
-	// nextTarget/nextAt name the rank's single live heap entry; any
-	// heap entry that does not match both is a stale remnant and is
-	// dropped when it surfaces at the head (the PR 4 idle-close idiom).
+	// nextTarget/nextAt are the rank's single pending transition, valid
+	// while hasNext; scheduleFrom overwrites them on every reschedule.
 	nextTarget PowerState
 	nextAt     sim.Time
 	hasNext    bool
@@ -167,77 +169,11 @@ type psState struct {
 // powerStates is embedded in Controller when any rung (self-refresh
 // included) is armed.
 type powerStates struct {
-	srAfter sim.Duration    // self-refresh threshold; <=0 leaves the SR rung unarmed
+	srAfter sim.Duration // self-refresh threshold; <=0 leaves the SR rung unarmed
 	cfg     PowerStateConfig
 	enabled bool // cfg.Enabled(): some power-down rung armed
 	armed   bool // any rung armed (srAfter or cfg)
 	ranks   []psState
-	heap    psHeap
-}
-
-// psEntry is one candidate transition deadline: rank rank should move to
-// target at time at (if still current).
-type psEntry struct {
-	at     sim.Time
-	rank   int32
-	target PowerState
-}
-
-// psHeap is a binary min-heap of psEntry ordered by (at, rank, deeper
-// target first). The (at, rank) order reproduces the retired linear
-// scan's tie-break exactly — strictly-smaller deadline wins, ties go to
-// the lowest rank index — which is what keeps two-state configurations
-// bit-identical; the target tie-break only orders stale duplicates and
-// exists so heap behaviour never depends on insertion order.
-type psHeap []psEntry
-
-func (h psHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].target > h[j].target
-}
-
-func (h *psHeap) push(e psEntry) {
-	*h = append(*h, e)
-	hh := *h
-	j := len(hh) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		j = i
-	}
-}
-
-// popHead removes the minimum entry.
-func (h *psHeap) popHead() {
-	hh := *h
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && hh.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !hh.less(j, i) {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		i = j
-	}
 }
 
 // armPowerStates initialises the state machine; every rank starts awake
@@ -257,11 +193,12 @@ func (c *Controller) armPowerStates(srAfter sim.Duration, cfg PowerStateConfig) 
 }
 
 // scheduleFrom computes rank ri's next transition, starting strictly
-// below rung `from` on the ladder, and pushes it onto the deadline heap.
-// Deadlines derive from lastDemand (entry time for the SR-slow rung) and
-// are clamped to now so a rung skipped in the past fires immediately
-// rather than rewinding the drain. Unarmed rungs are passed over; when
-// no rung remains the rank has no pending transition.
+// below rung `from` on the ladder, and records it as the rank's one
+// pending deadline, replacing whatever was pending. Deadlines derive
+// from lastDemand (entry time for the SR-slow rung) and are clamped to
+// now so a rung skipped in the past fires immediately rather than
+// rewinding the drain. Unarmed rungs are passed over; when no rung
+// remains the rank has no pending transition.
 func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
 	st := &c.ps.ranks[ri]
 	cfg := &c.ps.cfg
@@ -287,35 +224,28 @@ func (c *Controller) scheduleFrom(ri int, from PowerState, now sim.Time) {
 		at = now
 	}
 	st.nextTarget, st.nextAt, st.hasNext = target, at, true
-	c.ps.heap.push(psEntry{at: at, rank: int32(ri), target: target})
 }
 
-// nextPowerEvent returns the earliest pending transition deadline, or
-// ok=false when none is pending. Stale heap entries — anything not
-// matching the rank's live (nextTarget, nextAt) — are dropped here; the
-// returned entry is not popped, it goes stale when the event reschedules
-// the rank (the same lazy discipline as nextIdleClose).
+// nextPowerEvent returns the earliest pending transition — the smallest
+// nextAt over the ranks, ties to the lowest rank index — or ok=false when
+// no rank has one pending. The event stays pending until runPowerEvent
+// reschedules its rank.
 func (c *Controller) nextPowerEvent() (sim.Time, int, bool) {
-	if !c.ps.armed {
-		return 0, 0, false
-	}
-	for len(c.ps.heap) > 0 {
-		e := c.ps.heap[0]
-		st := &c.ps.ranks[e.rank]
-		if !st.hasNext || e.at != st.nextAt || e.target != st.nextTarget {
-			c.ps.heap.popHead()
-			continue
+	best, at := -1, sim.Time(0)
+	for ri := range c.ps.ranks {
+		st := &c.ps.ranks[ri]
+		if st.hasNext && (best < 0 || st.nextAt < at) {
+			best, at = ri, st.nextAt
 		}
-		return e.at, int(e.rank), true
 	}
-	return 0, 0, false
+	return at, best, best >= 0
 }
 
-// rankHasOpenPage reports whether any bank of the rank has an open row.
-func (c *Controller) rankHasOpenPage(channel, rank int) bool {
-	g := c.cfg.Geometry
-	for b := 0; b < g.Banks; b++ {
-		if c.module.OpenRow(dram.BankID{Channel: channel, Rank: rank, Bank: b}) != -1 {
+// rankHasOpenPage reports whether any bank of flat rank ri has an open
+// row.
+func (c *Controller) rankHasOpenPage(ri int) bool {
+	for flat := ri * c.nBanks; flat < (ri+1)*c.nBanks; flat++ {
+		if c.module.OpenRowFlat(flat) != -1 {
 			return true
 		}
 	}
@@ -324,16 +254,15 @@ func (c *Controller) rankHasOpenPage(channel, rank int) bool {
 
 // runPowerEvent executes rank ri's due transition at time t. Every path
 // reschedules the rank (with a strictly later deadline, a deeper rung,
-// or no rung), so the fired heap entry goes stale and the drain makes
-// monotone progress — at most one firing per rung per instant.
+// or no rung), so the drain makes monotone progress — at most one firing
+// per rung per instant.
 func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 	st := &c.ps.ranks[ri]
 	target := st.nextTarget
-	g := c.cfg.Geometry
-	channel, rank := ri/g.Ranks, ri%g.Ranks
+	channel, rank := ri/c.nRanks, ri%c.nRanks
 	switch target {
 	case PSActPdn:
-		if st.state == PSActPdn || !c.rankHasOpenPage(channel, rank) {
+		if st.state == PSActPdn || !c.rankHasOpenPage(ri) {
 			// Already there (a deferred deeper rung re-walked the ladder),
 			// or no page to hold open — skip to the precharged rungs.
 			c.scheduleFrom(ri, PSActPdn, t)
@@ -347,7 +276,7 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 			c.scheduleFrom(ri, target, t)
 			return
 		}
-		if c.rankHasOpenPage(channel, rank) {
+		if c.rankHasOpenPage(ri) {
 			// Pages still open: wait for idle-close, exactly like the
 			// deferred self-refresh entry. Re-arm past the close horizon.
 			st.lastDemand = t
@@ -376,8 +305,7 @@ func (c *Controller) runPowerEvent(t sim.Time, ri int) {
 		}
 		c.scheduleFrom(ri, PSSelfRefreshSlow, t)
 	default:
-		// PSAwake is never a target; a stale entry cannot reach here
-		// (nextPowerEvent filtered it).
+		// PSAwake is never a target.
 		c.scheduleFrom(ri, st.state, t)
 	}
 }
@@ -433,7 +361,6 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 	if !c.ps.armed {
 		return
 	}
-	g := c.cfg.Geometry
 	for ri := range c.ps.ranks {
 		st := &c.ps.ranks[ri]
 		if st.state == PSAwake || st.enteredAt >= end {
@@ -444,7 +371,7 @@ func (c *Controller) finishPowerStates(end sim.Time) {
 			if c.trace != nil {
 				c.trace.Command(telemetry.CmdSelfRefresh, c.rankTid(ri), -1, st.enteredAt, end)
 			}
-			c.coverSelfRefresh(st.enteredAt, end, ri/g.Ranks, ri%g.Ranks)
+			c.coverSelfRefresh(st.enteredAt, end, ri/c.nRanks, ri%c.nRanks)
 		default:
 			c.tracePowerDown(ri, end)
 		}

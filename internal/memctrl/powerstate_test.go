@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"smartrefresh/internal/core"
@@ -33,11 +35,11 @@ func TestPowerStateLadderDescent(t *testing.T) {
 		at   sim.Time
 		want PowerState
 	}{
-		{1500 * sim.Nanosecond, PSActPdn},     // 1 us after the access
-		{3 * sim.Microsecond, PSAwake},        // idle-close at 2 us woke it
-		{6 * sim.Microsecond, PSPrePdnFast},   // 5 us
-		{60 * sim.Microsecond, PSPrePdnSlow},  // 50 us
-		{120 * sim.Microsecond, PSSelfRefresh}, // 100 us
+		{1500 * sim.Nanosecond, PSActPdn},          // 1 us after the access
+		{3 * sim.Microsecond, PSAwake},             // idle-close at 2 us woke it
+		{6 * sim.Microsecond, PSPrePdnFast},        // 5 us
+		{60 * sim.Microsecond, PSPrePdnSlow},       // 50 us
+		{120 * sim.Microsecond, PSSelfRefresh},     // 100 us
 		{700 * sim.Microsecond, PSSelfRefreshSlow}, // SR entry + 500 us
 	}
 	for _, s := range steps {
@@ -148,31 +150,47 @@ func TestPowerStateTwoStateStaysUntracked(t *testing.T) {
 	}
 }
 
-func TestPsHeapTieBreak(t *testing.T) {
-	// Same-deadline entries must surface in (deadline, rank, deeper
-	// target first) order regardless of insertion order — the explicit
-	// tie-break that keeps two-state configurations bit-identical with
-	// the retired linear scan (strictly-smaller deadline wins, ties to
-	// the lowest rank).
-	var h psHeap
-	h.push(psEntry{at: 10, rank: 2, target: PSPrePdnFast})
-	h.push(psEntry{at: 10, rank: 0, target: PSActPdn})
-	h.push(psEntry{at: 5, rank: 3, target: PSSelfRefresh})
-	h.push(psEntry{at: 10, rank: 0, target: PSSelfRefresh})
-	want := []psEntry{
-		{at: 5, rank: 3, target: PSSelfRefresh},
-		{at: 10, rank: 0, target: PSSelfRefresh}, // deeper target first
-		{at: 10, rank: 0, target: PSActPdn},
-		{at: 10, rank: 2, target: PSPrePdnFast},
-	}
-	for i, w := range want {
-		if len(h) == 0 {
-			t.Fatalf("heap empty at pop %d", i)
+func TestNextPowerEventMatchesReference(t *testing.T) {
+	// Random per-rank pending transitions, with deadlines drawn from a
+	// tiny range so equal deadlines across ranks are common. The scan
+	// must pick exactly what a brute-force sort picks: the smallest
+	// deadline, ties to the lowest rank index (the order that keeps
+	// two-state configurations bit-identical with the historical
+	// controller).
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		c := &Controller{ps: powerStates{armed: true, ranks: make([]psState, 1+rng.Intn(8))}}
+		type cand struct {
+			at sim.Time
+			ri int
 		}
-		if got := h[0]; got != w {
-			t.Errorf("pop %d = %+v, want %+v", i, got, w)
+		var live []cand
+		for ri := range c.ps.ranks {
+			st := &c.ps.ranks[ri]
+			st.hasNext = rng.Intn(4) != 0
+			st.nextAt = sim.Time(rng.Intn(4))
+			st.nextTarget = PowerState(1 + rng.Intn(int(PSSelfRefreshSlow)))
+			if st.hasNext {
+				live = append(live, cand{st.nextAt, ri})
+			}
 		}
-		h.popHead()
+		sort.Slice(live, func(i, j int) bool {
+			if live[i].at != live[j].at {
+				return live[i].at < live[j].at
+			}
+			return live[i].ri < live[j].ri
+		})
+		at, ri, ok := c.nextPowerEvent()
+		if len(live) == 0 {
+			if ok {
+				t.Fatalf("trial %d: no rank pending, got (%v, rank %d)", trial, at, ri)
+			}
+			continue
+		}
+		if !ok || at != live[0].at || ri != live[0].ri {
+			t.Fatalf("trial %d: got (%v, rank %d, ok=%v), want (%v, rank %d)",
+				trial, at, ri, ok, live[0].at, live[0].ri)
+		}
 	}
 }
 

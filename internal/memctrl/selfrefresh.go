@@ -24,7 +24,7 @@ import (
 // recording a whole-rank restore at entry and exit.
 
 func (c *Controller) rankOf(channel, rank int) int {
-	return channel*c.cfg.Geometry.Ranks + rank
+	return channel*c.nRanks + rank
 }
 
 // enterSelfRefresh puts rank ri into self-refresh at time t, provided its
@@ -33,10 +33,9 @@ func (c *Controller) rankOf(channel, rank int) int {
 // in a PRE-PDN state descends without an intermediate wake — the module
 // folds the power-down residency at the handoff.
 func (c *Controller) enterSelfRefresh(t sim.Time, ri int) {
-	g := c.cfg.Geometry
-	channel, rank := ri/g.Ranks, ri%g.Ranks
+	channel, rank := ri/c.nRanks, ri%c.nRanks
 	st := &c.ps.ranks[ri]
-	if c.rankHasOpenPage(channel, rank) {
+	if c.rankHasOpenPage(ri) {
 		// Pages still open: wait for idle-close. Re-arm the deadline
 		// just past the page-close horizon.
 		st.lastDemand = t

@@ -214,12 +214,16 @@ func Profiles() []Profile {
 	return out
 }
 
-// ByName returns the named profile.
+// ByName returns the named profile: a figure benchmark, or Idle's
+// "idle-os", which is outside the figure set.
 func ByName(name string) (Profile, error) {
 	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
+	}
+	if idle := Idle(); name == idle.Name {
+		return idle, nil
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
