@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"smartrefresh"
+	"smartrefresh/internal/cache"
+	"smartrefresh/internal/config"
+	"smartrefresh/internal/sim"
 )
 
 // warmPolicy drives a policy long enough for its internal buffers (and
@@ -177,5 +180,58 @@ func TestIdleRefreshWakeSteadyStateAllocFree(t *testing.T) {
 	// refresh must have re-entered power-down twice (fast, then slow).
 	if refs, pdn := after.RefreshOps-before.RefreshOps, after.PowerDownEntries-before.PowerDownEntries; refs < 200 || pdn < 2*refs {
 		t.Errorf("%d refreshes drove %d power-down entries; want >= 200 refreshes, 2 entries each", refs, pdn)
+	}
+}
+
+// The Table 2 3D cache's tag store is one flat pointer-free slice, so
+// building it is a handful of allocations rather than one per set (it was
+// 1,048,580 with per-set slices).
+func TestNewDRAMCacheAllocBudget(t *testing.T) {
+	cfg := config.Table2_3DCache()
+	if avg := testing.AllocsPerRun(3, func() { cache.NewDRAMCache(cfg) }); avg > 4 {
+		t.Errorf("NewDRAMCache(Table2_3DCache) makes %.0f allocs, want <= 4", avg)
+	}
+}
+
+func TestDRAMCacheAccessSteadyStateAllocFree(t *testing.T) {
+	cfg := config.Table2_3DCache()
+	d := cache.NewDRAMCache(cfg)
+	var now sim.Time
+	var addr uint64
+	// Writes striding past the cache size: once warm, every access is a
+	// miss with a dirty victim, the longest result the cache returns.
+	access := func() {
+		now++
+		addr += uint64(cfg.SizeBytes) + uint64(cfg.LineBytes)
+		d.Access(now, addr, true)
+	}
+	for n := 0; n < 4096; n++ {
+		access()
+	}
+	if avg := testing.AllocsPerRun(200, access); avg != 0 {
+		t.Errorf("steady-state DRAMCache.Access allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+func TestHierarchyAccessSteadyStateAllocFree(t *testing.T) {
+	h := cache.NewHierarchy(
+		config.CacheConfig{Name: "l1", SizeBytes: 32 << 10, LineBytes: 64, Ways: 4, WriteBack: true},
+		config.Table1L2(),
+	)
+	var now sim.Time
+	var i uint64
+	// Writes over a 4 MB working set: once both levels hold only dirty
+	// lines, every access misses L1 and L2 with a dirty victim at each, so
+	// the cascade reaches its widest (four requests to DRAM).
+	access := func() {
+		now++
+		i++
+		h.Access(now, (i*64)%(4<<20), true)
+	}
+	for n := 0; n < 1<<17; n++ {
+		access()
+	}
+	if avg := testing.AllocsPerRun(200, access); avg != 0 {
+		t.Errorf("steady-state Hierarchy.Access allocates %.1f allocs/op, want 0", avg)
 	}
 }

@@ -43,18 +43,30 @@ type Result struct {
 	FillValid bool
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// line is one packed tag-store entry: tag<<2 | dirty<<1 | valid. An
+// empty way is 0. config.CacheConfig.Validate requires LineBytes >= 4, so
+// a tag has at most 62 bits and always fits.
+type line uint64
+
+const (
+	lineValid line = 1 << iota
+	lineDirty
+
+	lineValidDirty = lineValid | lineDirty
+)
+
+func (l line) tag() uint64 { return uint64(l) >> 2 }
 
 // Cache is a blocking set-associative write-back cache with true-LRU
 // replacement and write-allocate. It is not safe for concurrent use.
 type Cache struct {
-	cfg      config.CacheConfig
-	sets     [][]line // each set ordered most- to least-recently used
+	cfg config.CacheConfig
+	// lines is the whole tag store, one flat pointer-free slice: set s is
+	// lines[s*Ways:(s+1)*Ways]. Its valid lines form a prefix ordered
+	// most- to least-recently used; the rest are empty ways.
+	lines    []line
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	stats    Stats
 }
@@ -66,17 +78,14 @@ func New(cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	lines := cfg.SizeBytes / int64(cfg.LineBytes)
-	sets := int(lines / int64(cfg.Ways))
-	c := &Cache{
+	sets := uint64(lines) / uint64(cfg.Ways)
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, sets),
-		setMask:  uint64(sets - 1),
+		lines:    make([]line, lines),
+		setMask:  sets - 1,
+		setBits:  uint(bits.TrailingZeros64(sets)),
 		lineBits: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, cfg.Ways)
-	}
-	return c
 }
 
 // Config returns the cache configuration.
@@ -88,9 +97,24 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns addr rounded down to its line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// lookup returns the set holding addr and the valid, clean entry its line
+// would have.
+func (c *Cache) lookup(addr uint64) (setIdx int, set []line, want line) {
 	l := addr >> c.lineBits
-	return int(l & c.setMask), l >> bits.TrailingZeros64(c.setMask+1)
+	setIdx = int(l & c.setMask)
+	want = line(l>>c.setBits)<<2 | lineValid
+	return setIdx, c.lines[setIdx*c.cfg.Ways : (setIdx+1)*c.cfg.Ways], want
+}
+
+// find returns the way of set holding want's line, or -1. Empty ways
+// never match: want has the valid bit set.
+func find(set []line, want line) int {
+	for i, l := range set {
+		if l&^lineDirty == want {
+			return i
+		}
+	}
+	return -1
 }
 
 // Access performs a read or write with write-allocate. On a miss the line
@@ -98,106 +122,85 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 // level.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
-	setIdx, tag := c.index(addr)
-	set := c.sets[setIdx]
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			// Hit: move to MRU position.
-			hitLine := set[i]
-			if write {
-				hitLine.dirty = true
-			}
-			copy(set[1:i+1], set[:i])
-			set[0] = hitLine
-			c.stats.Hits++
-			return Result{Hit: true}
-		}
+	setIdx, set, want := c.lookup(addr)
+	var dirty line
+	if write {
+		dirty = lineDirty
 	}
 
-	// Miss.
+	if i := find(set, want); i >= 0 {
+		// Hit: move to MRU position.
+		hitLine := set[i] | dirty
+		copy(set[1:i+1], set[:i])
+		set[0] = hitLine
+		c.stats.Hits++
+		return Result{Hit: true}
+	}
+
+	// Miss: shift the set right by one, dropping the LRU way (an empty
+	// way while the set is not yet full), and install at MRU.
 	c.stats.Misses++
 	res := Result{Fill: c.LineAddr(addr), FillValid: true}
 	c.stats.Fills++
-	newLine := line{tag: tag, valid: true, dirty: write}
-
-	if len(set) < c.cfg.Ways {
-		set = append(set, line{})
-		copy(set[1:], set)
-		set[0] = newLine
-		c.sets[setIdx] = set
-		return res
-	}
-	victim := set[len(set)-1]
-	if victim.valid && victim.dirty {
-		res.Writeback = c.victimAddr(setIdx, victim.tag)
+	if victim := set[len(set)-1]; victim&lineValidDirty == lineValidDirty {
+		res.Writeback = c.victimAddr(setIdx, victim.tag())
 		res.WritebackValid = true
 		c.stats.Writebacks++
 	}
 	copy(set[1:], set)
-	set[0] = newLine
+	set[0] = want | dirty
 	return res
 }
 
 // Contains reports whether the line holding addr is present (no LRU or
 // statistics side effects).
 func (c *Cache) Contains(addr uint64) bool {
-	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, set, want := c.lookup(addr)
+	return find(set, want) >= 0
 }
 
 // Dirty reports whether the line holding addr is present and dirty.
 func (c *Cache) Dirty(addr uint64) bool {
-	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return l.dirty
-		}
-	}
-	return false
+	_, set, want := c.lookup(addr)
+	i := find(set, want)
+	return i >= 0 && set[i]&lineDirty != 0
 }
 
 func (c *Cache) victimAddr(setIdx int, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros64(c.setMask + 1))
-	return ((tag << setBits) | uint64(setIdx)) << c.lineBits
+	return ((tag << c.setBits) | uint64(setIdx)) << c.lineBits
 }
 
 // Flush evicts every line, returning the addresses of dirty lines in
-// deterministic order.
+// deterministic order: by set, then most- to least-recently used.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for si := range c.sets {
-		for _, l := range c.sets[si] {
-			if l.valid && l.dirty {
-				dirty = append(dirty, c.victimAddr(si, l.tag))
-			}
+	for i, l := range c.lines {
+		if l&lineValidDirty == lineValidDirty {
+			dirty = append(dirty, c.victimAddr(i/c.cfg.Ways, l.tag()))
 		}
-		c.sets[si] = c.sets[si][:0]
 	}
+	clear(c.lines)
 	return dirty
 }
 
-// Invariant checks internal consistency (used by property tests): no
-// duplicate tags within a set and no over-full sets.
+// Invariant checks internal consistency (used by property tests): each
+// set's valid lines form a prefix and no tag repeats within a set.
 func (c *Cache) Invariant() error {
-	for si, set := range c.sets {
-		if len(set) > c.cfg.Ways {
-			return fmt.Errorf("cache: set %d holds %d lines, ways %d", si, len(set), c.cfg.Ways)
-		}
-		seen := map[uint64]bool{}
-		for _, l := range set {
-			if !l.valid {
-				continue
+	ways := c.cfg.Ways
+	for si := 0; si*ways < len(c.lines); si++ {
+		set := c.lines[si*ways : (si+1)*ways]
+		empty := -1
+		for i, l := range set {
+			switch {
+			case l&lineValid == 0:
+				if empty < 0 {
+					empty = i
+				}
+			case empty >= 0:
+				return fmt.Errorf("cache: set %d has a valid line in way %d after empty way %d", si, i, empty)
+			case find(set[:i], l&^lineDirty) >= 0:
+				return fmt.Errorf("cache: duplicate tag %#x in set %d", l.tag(), si)
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("cache: duplicate tag %#x in set %d", l.tag, si)
-			}
-			seen[l.tag] = true
 		}
 	}
 	return nil

@@ -241,6 +241,11 @@ func (c CacheConfig) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("config: non-positive cache dimension in %+v", c)
 	}
+	// The cache indexes with shifts and masks of LineBytes, and packs a
+	// tag into 62 bits, which needs at least 2 line-offset bits.
+	if c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("config: cache line %d bytes not a power of two >= 4", c.LineBytes)
+	}
 	if c.SizeBytes%int64(c.LineBytes) != 0 {
 		return fmt.Errorf("config: cache size %d not a multiple of line %d", c.SizeBytes, c.LineBytes)
 	}

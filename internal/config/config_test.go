@@ -114,17 +114,21 @@ func TestTable2_3DCacheShape(t *testing.T) {
 }
 
 func TestCacheValidateRejects(t *testing.T) {
-	bad := CacheConfig{Name: "x", SizeBytes: 1000, LineBytes: 64, Ways: 2}
-	if bad.Validate() == nil {
-		t.Error("size not multiple of line accepted")
+	cases := []struct {
+		name string
+		cfg  CacheConfig
+	}{
+		{"size not multiple of line", CacheConfig{Name: "x", SizeBytes: 1000, LineBytes: 64, Ways: 2}},
+		{"non-power-of-two sets", CacheConfig{Name: "x", SizeBytes: 3 << 10, LineBytes: 64, Ways: 2}},
+		{"zero size", CacheConfig{Name: "x", SizeBytes: 0, LineBytes: 64, Ways: 1}},
+		// 48 B lines used to pass and be indexed as 16 B lines.
+		{"non-power-of-two line", CacheConfig{Name: "x", SizeBytes: 48 << 10, LineBytes: 48, Ways: 1}},
+		{"line under 4 bytes", CacheConfig{Name: "x", SizeBytes: 1 << 10, LineBytes: 2, Ways: 1}},
 	}
-	bad = CacheConfig{Name: "x", SizeBytes: 3 << 10, LineBytes: 64, Ways: 2}
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two sets accepted")
-	}
-	bad = CacheConfig{Name: "x", SizeBytes: 0, LineBytes: 64, Ways: 1}
-	if bad.Validate() == nil {
-		t.Error("zero size accepted")
+	for _, tc := range cases {
+		if tc.cfg.Validate() == nil {
+			t.Errorf("%s accepted: %+v", tc.name, tc.cfg)
+		}
 	}
 }
 
