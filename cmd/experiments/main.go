@@ -91,6 +91,24 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var opts experiment.RunOptions
+	for _, f := range []struct {
+		name string
+		n    int
+		unit sim.Duration
+		out  *sim.Duration
+	}{
+		{"warmup-ms", *warmupMS, sim.Millisecond, &opts.Warmup},
+		{"measure-ms", *measureMS, sim.Millisecond, &opts.Measure},
+		{"selfrefresh-us", *selfRefreshUS, sim.Microsecond, &opts.SelfRefreshAfter},
+	} {
+		d, err := sim.FromUnits(int64(f.n), f.unit)
+		if err != nil {
+			return fmt.Errorf("-%s: %w", f.name, err)
+		}
+		*f.out = d
+	}
+	opts.Shards = *shards
 	format, err := report.ParseFormat(*formatName)
 	if err != nil {
 		return err
@@ -141,12 +159,7 @@ func run(ctx context.Context, args []string) error {
 	suite := experiment.NewSuite()
 	suite.Engine = eng
 	suite.Ctx = ctx
-	suite.Opts = experiment.RunOptions{
-		Warmup:           sim.Time(*warmupMS) * sim.Millisecond,
-		Measure:          sim.Time(*measureMS) * sim.Millisecond,
-		SelfRefreshAfter: sim.Time(*selfRefreshUS) * sim.Microsecond,
-		Shards:           *shards,
-	}
+	suite.Opts = opts
 	if *benchmarks != "all" {
 		suite.Benchmarks = strings.Split(*benchmarks, ",")
 	}

@@ -64,6 +64,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunTimeFlags: the integer time flags are range-checked before
+// anything runs. A value at the int64 picosecond boundary passes the
+// check and fails later on the unknown format; one past it, or a
+// negative value, is rejected by name.
+func TestRunTimeFlags(t *testing.T) {
+	cases := []struct{ flag, value, want string }{
+		{"-measure-ms", "-5", "-measure-ms: sim: negative count -5"},
+		{"-measure-ms", "18446744074", "-measure-ms: sim: 18446744074 x 1ms overflows"},
+		{"-measure-ms", "9223372037", "-measure-ms: sim: 9223372037 x 1ms overflows"},
+		{"-measure-ms", "9223372036", "unknown format"},
+		{"-warmup-ms", "-1", "-warmup-ms: sim: negative"},
+		{"-warmup-ms", "9223372037", "-warmup-ms: sim: 9223372037 x 1ms overflows"},
+		{"-warmup-ms", "9223372036", "unknown format"},
+		{"-selfrefresh-us", "-1", "-selfrefresh-us: sim: negative"},
+		{"-selfrefresh-us", "9223372036855", "-selfrefresh-us: sim: 9223372036855 x 1us overflows"},
+		{"-selfrefresh-us", "9223372036854", "unknown format"},
+	}
+	for _, c := range cases {
+		err := run(context.Background(), []string{c.flag, c.value, "-format", "xml"})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: error %v, want it to contain %q", c.flag, c.value, err, c.want)
+		}
+	}
+}
+
 // TestRunTraceAndMetricsOutputs drives a figure regeneration plus the
 // ablation studies with the telemetry flags and checks the trace holds
 // every command event type (the idle-power study arms self-refresh, so

@@ -74,6 +74,24 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var warmup, measure, selfRefreshAfter, snapEvery sim.Duration
+	for _, f := range []struct {
+		name string
+		n    int
+		unit sim.Duration
+		out  *sim.Duration
+	}{
+		{"warmup-ms", *warmupMS, sim.Millisecond, &warmup},
+		{"measure-ms", *measureMS, sim.Millisecond, &measure},
+		{"selfrefresh-us", *selfRefreshUS, sim.Microsecond, &selfRefreshAfter},
+		{"snapshot-ms", *snapshotMS, sim.Millisecond, &snapEvery},
+	} {
+		d, err := sim.FromUnits(int64(f.n), f.unit)
+		if err != nil {
+			return fmt.Errorf("-%s: %w", f.name, err)
+		}
+		*f.out = d
+	}
 
 	if *list {
 		fmt.Fprintln(stdout, "presets:   ", strings.Join(presetNames(), ", "))
@@ -95,11 +113,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("unknown preset %q (want one of %s)", *cfgName, strings.Join(presetNames(), ", "))
 	}
 	opts := experiment.RunOptions{
-		Warmup:           sim.Time(*warmupMS) * sim.Millisecond,
-		Measure:          sim.Time(*measureMS) * sim.Millisecond,
+		Warmup:           warmup,
+		Measure:          measure,
 		Stacked:          strings.HasPrefix(*cfgName, "table2"),
 		CheckRetention:   *check,
-		SelfRefreshAfter: sim.Time(*selfRefreshUS) * sim.Microsecond,
+		SelfRefreshAfter: selfRefreshAfter,
 		Shards:           *shards,
 		PowerStates: memctrl.PowerStateConfig{
 			ActPdnAfter:     usToDuration(*actPdnUS),
@@ -128,7 +146,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			tornOK:    *tornOK,
 			tracer:    tf.Tracer(),
 			reg:       tf.Registry(),
-			snapEvery: sim.Time(*snapshotMS) * sim.Millisecond,
+			snapEvery: snapEvery,
 		}
 		if p.snapEvery > 0 {
 			if *snapshotOut == "-" {

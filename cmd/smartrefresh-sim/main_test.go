@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/experiment"
@@ -98,6 +99,34 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := runQuiet(t, "-trace", "/definitely/not/here"); err == nil {
 		t.Error("missing trace accepted")
+	}
+}
+
+// TestRunTimeFlags: the integer time flags are range-checked before
+// anything runs. A value at the int64 picosecond boundary passes the
+// check and fails later on the unknown preset; one past it, or a
+// negative value, is rejected by name.
+func TestRunTimeFlags(t *testing.T) {
+	cases := []struct{ flag, value, want string }{
+		{"-measure-ms", "-5", "-measure-ms: sim: negative count -5"},
+		{"-measure-ms", "18446744074", "-measure-ms: sim: 18446744074 x 1ms overflows"},
+		{"-measure-ms", "9223372037", "-measure-ms: sim: 9223372037 x 1ms overflows"},
+		{"-measure-ms", "9223372036", "unknown preset"},
+		{"-warmup-ms", "-1", "-warmup-ms: sim: negative"},
+		{"-warmup-ms", "9223372037", "-warmup-ms: sim: 9223372037 x 1ms overflows"},
+		{"-warmup-ms", "9223372036", "unknown preset"},
+		{"-selfrefresh-us", "-1", "-selfrefresh-us: sim: negative"},
+		{"-selfrefresh-us", "9223372036855", "-selfrefresh-us: sim: 9223372036855 x 1us overflows"},
+		{"-selfrefresh-us", "9223372036854", "unknown preset"},
+		{"-snapshot-ms", "-1", "-snapshot-ms: sim: negative"},
+		{"-snapshot-ms", "9223372037", "-snapshot-ms: sim: 9223372037 x 1ms overflows"},
+		{"-snapshot-ms", "9223372036", "unknown preset"},
+	}
+	for _, c := range cases {
+		err := runQuiet(t, c.flag, c.value, "-config", "nope")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: error %v, want it to contain %q", c.flag, c.value, err, c.want)
+		}
 	}
 }
 
@@ -460,6 +489,57 @@ func TestServerReplay(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotsWhileUploading: a snapshot streamed back while the
+// trace is still arriving must not cut off the rest of the upload. The
+// client sends the first half of the trace, sends the second half only
+// once a snapshot has come back, and every record must be replayed.
+func TestServerSnapshotsWhileUploading(t *testing.T) {
+	srv := httptest.NewServer(newServeMux())
+	defer srv.Close()
+	recs := testTraceRecords(t, 4)
+	body := encodeRecords(t, recs)
+	pr, pw := io.Pipe()
+	snapshotSeen := make(chan struct{})
+	go func() {
+		half := len(body) / 2
+		pw.Write(body[:half])
+		// The bound turns a server that holds its response until the
+		// whole body is in into a failure instead of a hang.
+		select {
+		case <-snapshotSeen:
+		case <-time.After(5 * time.Second):
+		}
+		pw.Write(body[half:])
+		pw.Close()
+	}()
+	resp, err := http.Post(srv.URL+"/replay?snapshot-ms=1", "application/octet-stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	first, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(snapshotSeen)
+	if strings.Contains(first, `"type"`) {
+		t.Fatalf("first line %q is not a snapshot", first)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(rest)), "\n")
+	var final replayResponse
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Type != "results" || final.Records != uint64(len(recs)) {
+		t.Errorf("terminal line = %+v, want results over %d records", final, len(recs))
+	}
+}
+
 // TestServerRejectsBadParams covers the 400 surface.
 func TestServerRejectsBadParams(t *testing.T) {
 	srv := httptest.NewServer(newServeMux())
@@ -468,6 +548,9 @@ func TestServerRejectsBadParams(t *testing.T) {
 		"/replay?config=nope",
 		"/replay?policy=nope",
 		"/replay?snapshot-ms=x",
+		"/replay?snapshot-ms=-1",
+		"/replay?snapshot-ms=9223372037",
+		"/replay?snapshot-ms=18446744074",
 		"/replay?buffer-kb=-1",
 	} {
 		resp, err := http.Post(srv.URL+url, "application/octet-stream", strings.NewReader(""))
@@ -517,6 +600,32 @@ func TestServerBufferCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("buffer-kb=%d: status %d, want 400", maxServeBufferKB+1, resp.StatusCode)
+	}
+}
+
+// TestServerSnapshotBoundary: the largest snapshot-ms that fits int64
+// picoseconds is served (its one boundary is never crossed, so only the
+// final snapshot and the results line come back).
+func TestServerSnapshotBoundary(t *testing.T) {
+	srv := httptest.NewServer(newServeMux())
+	defer srv.Close()
+	recs := testTraceRecords(t, 1)
+	resp, err := http.Post(srv.URL+"/replay?snapshot-ms=9223372036", "application/octet-stream",
+		bytes.NewReader(encodeRecords(t, recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], `"final":true`) || !strings.Contains(lines[1], `"type":"results"`) {
+		t.Errorf("response lines = %q, want the final snapshot then results", lines)
 	}
 }
 

@@ -94,10 +94,14 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snapshotMS := 0
+	var snapEvery sim.Duration
 	if v := q.Get("snapshot-ms"); v != "" {
-		if snapshotMS, err = strconv.Atoi(v); err != nil || snapshotMS < 0 {
-			http.Error(w, fmt.Sprintf("bad snapshot-ms %q", v), http.StatusBadRequest)
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err == nil {
+			snapEvery, err = sim.FromUnits(ms, sim.Millisecond)
+		}
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad snapshot-ms %q: %v", v, err), http.StatusBadRequest)
 			return
 		}
 	}
@@ -109,6 +113,10 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Snapshots stream back while the trace is still arriving. Without
+	// full duplex an HTTP/1 server discards the unread body at the first
+	// flush; HTTP/2 is full duplex already, so its refusal is harmless.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	p := replayParams{
 		cfg:       cfg,
@@ -116,7 +124,7 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		check:     boolParam(q.Get("check")),
 		bufKB:     bufKB,
 		tornOK:    boolParam(q.Get("torn-ok")),
-		snapEvery: sim.Time(snapshotMS) * sim.Millisecond,
+		snapEvery: snapEvery,
 	}
 	if p.snapEvery > 0 {
 		p.snapEmit = telemetry.JSONLEmitter(w)

@@ -40,6 +40,10 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	end, err := sim.FromUnits(int64(*durationMS), sim.Millisecond)
+	if err != nil {
+		return fmt.Errorf("-duration-ms: %w", err)
+	}
 
 	prof, err := workload.ByName(*benchmark)
 	if err != nil {
@@ -50,7 +54,6 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q (want binary or text)", *format)
 	}
-	end := sim.Time(*durationMS) * sim.Millisecond
 
 	var n uint64
 	generate := func(w io.Writer) error {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"smartrefresh/internal/trace"
@@ -133,6 +134,25 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if err := run([]string{"-format", "xml", "-o", filepath.Join(t.TempDir(), "x")}, io.Discard); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestDurationFlag: -duration-ms is range-checked before anything is
+// written. A value at the int64 picosecond boundary passes the check and
+// fails later on the unknown format; one past it, or a negative value,
+// is rejected by name.
+func TestDurationFlag(t *testing.T) {
+	cases := []struct{ value, want string }{
+		{"-5", "-duration-ms: sim: negative count -5"},
+		{"18446744074", "-duration-ms: sim: 18446744074 x 1ms overflows"},
+		{"9223372037", "-duration-ms: sim: 9223372037 x 1ms overflows"},
+		{"9223372036", "unknown format"},
+	}
+	for _, c := range cases {
+		err := run([]string{"-duration-ms", c.value, "-format", "xml", "-o", filepath.Join(t.TempDir(), "x")}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-duration-ms %s: error %v, want it to contain %q", c.value, err, c.want)
+		}
 	}
 }
 

@@ -85,65 +85,6 @@ func (h *Hierarchy) FlushAll(t sim.Time) []MemRequest {
 	return out
 }
 
-// MultiCoreHierarchy models the paper's SPLASH-2 platform: private L1s
-// over one shared L2 ("a 2-processor emulated CMP system sharing a 1MB
-// conventional L2 cache", section 6). Coherence is modelled minimally: a
-// write that hits another core's L1 line relies on the shared L2 being
-// inclusive of nothing (write-back L1s are private per address space in
-// the paper's multiprogrammed runs, so cross-core sharing is rare); the
-// structure captures what matters to the DRAM study — the shared L2's
-// filtering of the combined miss stream.
-type MultiCoreHierarchy struct {
-	l1s []*Cache
-	l2  *Cache
-	out []MemRequest
-}
-
-// NewMultiCoreHierarchy builds n private L1s over one shared L2.
-func NewMultiCoreHierarchy(n int, l1 config.CacheConfig, l2 config.CacheConfig) *MultiCoreHierarchy {
-	if n < 1 {
-		panic("cache: need at least one core")
-	}
-	h := &MultiCoreHierarchy{l2: New(l2)}
-	for i := 0; i < n; i++ {
-		h.l1s = append(h.l1s, New(l1))
-	}
-	return h
-}
-
-// Cores returns the core count.
-func (h *MultiCoreHierarchy) Cores() int { return len(h.l1s) }
-
-// L1 returns core i's private L1.
-func (h *MultiCoreHierarchy) L1(i int) *Cache { return h.l1s[i] }
-
-// L2 returns the shared L2.
-func (h *MultiCoreHierarchy) L2() *Cache { return h.l2 }
-
-// Access runs core's access through its L1 and the shared L2, returning
-// the DRAM traffic. The returned slice is reused across calls.
-func (h *MultiCoreHierarchy) Access(core int, t sim.Time, addr uint64, write bool) []MemRequest {
-	h.out = h.out[:0]
-	res := h.l1s[core].Access(addr, write)
-	pending := make([]MemRequest, 0, 2)
-	if res.WritebackValid {
-		pending = append(pending, MemRequest{Time: t, Addr: res.Writeback, Write: true})
-	}
-	if !res.Hit && res.FillValid {
-		pending = append(pending, MemRequest{Time: t, Addr: res.Fill, Write: false})
-	}
-	for _, req := range pending {
-		r2 := h.l2.Access(req.Addr, req.Write)
-		if r2.WritebackValid {
-			h.out = append(h.out, MemRequest{Time: t, Addr: r2.Writeback, Write: true})
-		}
-		if !r2.Hit && r2.FillValid {
-			h.out = append(h.out, MemRequest{Time: t, Addr: r2.Fill, Write: false})
-		}
-	}
-	return h.out
-}
-
 // DRAMCacheResult describes one access to the 3D DRAM cache.
 type DRAMCacheResult struct {
 	Hit bool

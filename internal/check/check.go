@@ -499,8 +499,8 @@ func checkResidency(sc Scenario, policy string, ms dram.ModuleStats, add func(po
 	if ms.SelfRefreshTime < 0 || ms.SelfRefreshTime > ms.IdleTime {
 		add(policy, "residency", "self-refresh time %v outside idle time %v", ms.SelfRefreshTime, ms.IdleTime)
 	}
-	if ms.PowerDownTime < 0 || ms.PowerDownTime > ms.IdleTime {
-		add(policy, "residency", "power-down time %v outside idle time %v", ms.PowerDownTime, ms.IdleTime)
+	if ms.PowerDownTime != 0 {
+		add(policy, "residency", "power-down time %v, want 0 (schema-only field)", ms.PowerDownTime)
 	}
 	if sc.SelfRefreshAfter <= 0 && (ms.SelfRefreshTime != 0 || ms.SelfRefreshEntries != 0) {
 		add(policy, "residency", "self-refresh engaged (%v, %d entries) without arming",

@@ -3,7 +3,11 @@ package check
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"smartrefresh/internal/dram"
+	"smartrefresh/internal/sim"
 )
 
 // TestRandomScenarios is the property suite: every invariant must hold
@@ -156,5 +160,27 @@ func TestHarnessDetectsViolations(t *testing.T) {
 	brokenRep := CheckScenario(broken)
 	if brokenRep.Ok() {
 		t.Fatal("harness reported a zero-depth, zero-segment config as clean")
+	}
+}
+
+// TestResidencyFlagsPowerDownTime checks the residency invariant treats
+// the schema-only ModuleStats.PowerDownTime as must-be-zero: any value,
+// even one inside idle time, is a violation.
+func TestResidencyFlagsPowerDownTime(t *testing.T) {
+	sc := NewScenario(1)
+	ms := dram.ModuleStats{IdleTime: sc.Duration * 8}
+	for _, pd := range []sim.Duration{0, 1, -1} {
+		ms.PowerDownTime = pd
+		var got []string
+		checkResidency(sc, "cbr", ms, func(_, _, format string, args ...any) {
+			got = append(got, fmt.Sprintf(format, args...))
+		})
+		flagged := false
+		for _, msg := range got {
+			flagged = flagged || strings.Contains(msg, "power-down time")
+		}
+		if flagged != (pd != 0) {
+			t.Errorf("PowerDownTime %v: flagged = %v, messages %q", pd, flagged, got)
+		}
 	}
 }

@@ -121,10 +121,10 @@ type ModuleStats struct {
 	ActiveTime sim.Duration
 	IdleTime   sim.Duration
 
-	// PowerDownTime is the part of IdleTime spent in precharge
-	// power-down, tracked when SetPowerDown has armed the explicit
-	// power-down state machine (otherwise zero, and the power model's
-	// PowerDownFraction calibration applies instead).
+	// PowerDownTime is always zero. It is kept so the result schema (and
+	// the fingerprints and checkpoints built on it) stays unchanged;
+	// power-down residency is reported per rung by the power-state ladder
+	// fields below.
 	PowerDownTime sim.Duration
 
 	// SelfRefreshTime is the part of IdleTime spent in self-refresh mode
@@ -180,7 +180,6 @@ func (s ModuleStats) Sub(earlier ModuleStats) ModuleStats {
 		RefreshConflictOps: s.RefreshConflictOps - earlier.RefreshConflictOps,
 		ActiveTime:         s.ActiveTime - earlier.ActiveTime,
 		IdleTime:           s.IdleTime - earlier.IdleTime,
-		PowerDownTime:      s.PowerDownTime - earlier.PowerDownTime,
 		SelfRefreshTime:    s.SelfRefreshTime - earlier.SelfRefreshTime,
 		SelfRefreshEntries: s.SelfRefreshEntries - earlier.SelfRefreshEntries,
 		DemandStall:        s.DemandStall - earlier.DemandStall,
@@ -215,7 +214,6 @@ func (s ModuleStats) Add(o ModuleStats) ModuleStats {
 		RefreshConflictOps: s.RefreshConflictOps + o.RefreshConflictOps,
 		ActiveTime:         s.ActiveTime + o.ActiveTime,
 		IdleTime:           s.IdleTime + o.IdleTime,
-		PowerDownTime:      s.PowerDownTime + o.PowerDownTime,
 		SelfRefreshTime:    s.SelfRefreshTime + o.SelfRefreshTime,
 		SelfRefreshEntries: s.SelfRefreshEntries + o.SelfRefreshEntries,
 		DemandStall:        s.DemandStall + o.DemandStall,
@@ -254,12 +252,6 @@ type rankState struct {
 	lastActivate sim.Time
 	actWindow    [4]sim.Time
 	actWindowPos int
-
-	// Power-down state machine (armed by Module.SetPowerDown): idleSince
-	// is when the last bank closed; powerDownTime accumulates time past
-	// idleSince+pdAfter.
-	idleSince     sim.Time
-	powerDownTime sim.Duration
 
 	// Self-refresh state: while inSelfRefresh, the module maintains
 	// retention internally and accepts no commands for this rank.
@@ -341,12 +333,6 @@ type Module struct {
 	stats ModuleStats
 	now   sim.Time // latest time observed, for Finalize
 
-	// pdAfter, when positive, arms explicit precharge power-down: a rank
-	// whose banks have all been closed for pdAfter enters power-down
-	// until its next activate. Energy-only: the small exit latency (tXP,
-	// about two clocks) is not modelled in command timing.
-	pdAfter sim.Duration
-
 	// trace, when non-nil, receives one timeline event per DRAM command
 	// (ACT/PRE/READ/WRITE and both refresh kinds) on the flat-bank
 	// thread. The nil check is the entire disabled-path cost.
@@ -420,30 +406,6 @@ func (m *Module) SetTraceScope(s *telemetry.Scope) {
 // events onto the same process.
 func (m *Module) TraceScope() *telemetry.Scope { return m.trace }
 
-// SetPowerDown arms the explicit precharge power-down state machine: a
-// rank with every bank closed for the given duration enters power-down
-// until its next activate, and the time is reported in
-// ModuleStats.PowerDownTime. Call before simulation starts.
-func (m *Module) SetPowerDown(after sim.Duration) {
-	if after <= 0 {
-		panic("dram: non-positive power-down threshold")
-	}
-	m.pdAfter = after
-}
-
-// accumulatePowerDown folds the power-down span of an idle rank ending
-// at time t into its accumulator. Self-refresh spans are accounted
-// separately and exclude power-down.
-func (m *Module) accumulatePowerDown(r *rankState, t sim.Time) {
-	if m.pdAfter <= 0 || r.openBanks != 0 || r.inSelfRefresh {
-		return
-	}
-	enter := r.idleSince + m.pdAfter
-	if t > enter {
-		r.powerDownTime += t - enter
-	}
-}
-
 // Geometry returns the module geometry.
 func (m *Module) Geometry() Geometry { return m.geom }
 
@@ -493,9 +455,6 @@ func (m *Module) updateRank(ri int, t sim.Time) {
 func (m *Module) openBank(b *bankState, ri int, row int, t sim.Time) {
 	m.updateRank(ri, t)
 	if b.openRow == -1 {
-		if m.ranks[ri].openBanks == 0 {
-			m.accumulatePowerDown(&m.ranks[ri], t)
-		}
 		m.ranks[ri].openBanks++
 	}
 	b.openRow = row
@@ -506,9 +465,6 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 	m.updateRank(ri, t)
 	if b.openRow != -1 {
 		m.ranks[ri].openBanks--
-		if m.ranks[ri].openBanks == 0 {
-			m.ranks[ri].idleSince = t
-		}
 	}
 	b.openRow = -1
 }
@@ -916,7 +872,6 @@ func (m *Module) EnterSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 			r.openBanks, channel, rank))
 	}
 	t = m.settleRank(ri, t)
-	m.accumulatePowerDown(r, t)
 	if r.pdKind != PDNone {
 		// Descending from an explicit power-down state straight into
 		// self-refresh: fold the power-down residency up to the entry
@@ -946,7 +901,6 @@ func (m *Module) ExitSelfRefresh(t sim.Time, channel, rank int) sim.Time {
 	m.updateRank(ri, t)
 	r.selfRefreshTime += t - r.srSince
 	r.inSelfRefresh = false
-	r.idleSince = t // power-down clock restarts now
 	exitLat := m.tim.TXSNR
 	if r.srSlow {
 		// Slow-wake residency [srSlowSince, t] drew IDD6L; the exit pays
@@ -1000,7 +954,6 @@ func (m *Module) Finalize(end sim.Time) {
 	m.observe(end)
 	m.stats.ActiveTime = 0
 	m.stats.IdleTime = 0
-	m.stats.PowerDownTime = 0
 	m.stats.SelfRefreshTime = 0
 	m.stats.ActPdnTime = 0
 	m.stats.PrePdnFastTime = 0
@@ -1008,7 +961,6 @@ func (m *Module) Finalize(end sim.Time) {
 	m.stats.SelfRefreshSlowTime = 0
 	for i := range m.ranks {
 		m.updateRank(i, m.now)
-		m.accumulatePowerDown(&m.ranks[i], m.now)
 		if m.ranks[i].inSelfRefresh {
 			// Extend the open self-refresh span; advance srSince so a
 			// repeated Finalize does not double-count.
@@ -1025,17 +977,8 @@ func (m *Module) Finalize(end sim.Time) {
 			// double-counts.
 			m.foldPowerDown(&m.ranks[i], m.now)
 		}
-		// accumulatePowerDown is not idempotent across Finalize calls;
-		// advance idleSince so a repeated Finalize extends rather than
-		// double-counts.
-		if m.pdAfter > 0 && m.ranks[i].openBanks == 0 {
-			if enter := m.ranks[i].idleSince + m.pdAfter; m.now > enter {
-				m.ranks[i].idleSince = m.now - m.pdAfter
-			}
-		}
 		m.stats.ActiveTime += m.ranks[i].activeTime
 		m.stats.IdleTime += m.ranks[i].idleTime
-		m.stats.PowerDownTime += m.ranks[i].powerDownTime
 		m.stats.SelfRefreshTime += m.ranks[i].selfRefreshTime
 		m.stats.ActPdnTime += m.ranks[i].actPdnTime
 		m.stats.PrePdnFastTime += m.ranks[i].preFastTime

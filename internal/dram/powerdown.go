@@ -126,9 +126,6 @@ func (m *Module) ExitPowerDown(t sim.Time, channel, rank int) sim.Time {
 	}
 	m.foldPowerDown(r, t)
 	r.pdKind = PDNone
-	if r.openBanks == 0 {
-		r.idleSince = t // legacy power-down clock restarts now
-	}
 	ready := m.clk.Next(t + exit)
 	m.holdRank(ri, ready)
 	return ready

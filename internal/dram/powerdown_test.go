@@ -139,6 +139,34 @@ func TestSlowSelfRefreshSplitsResidency(t *testing.T) {
 	}
 }
 
+// TestFinalizeTwiceExtendsLadderResidency: a second Finalize extends
+// every open low-power span to the new end instead of re-counting the
+// part the first call already folded.
+func TestFinalizeTwiceExtendsLadderResidency(t *testing.T) {
+	m := testModule()
+	m.EnterPowerDown(0, 0, 0, PDPrechargeFast)
+	m.EnterPowerDown(2*sim.Microsecond, 0, 0, PDPrechargeSlow)
+	m.EnterSelfRefresh(0, 0, 1)
+	m.SlowSelfRefresh(4*sim.Microsecond, 0, 1)
+	m.Finalize(10 * sim.Microsecond)
+	m.Finalize(20 * sim.Microsecond)
+	st := m.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want sim.Duration
+	}{
+		{"PrePdnFastTime", st.PrePdnFastTime, 2 * sim.Microsecond},
+		{"PrePdnSlowTime", st.PrePdnSlowTime, 18 * sim.Microsecond},
+		{"SelfRefreshTime", st.SelfRefreshTime, 20 * sim.Microsecond},
+		{"SelfRefreshSlowTime", st.SelfRefreshSlowTime, 16 * sim.Microsecond},
+		{"IdleTime", st.IdleTime, 40 * sim.Microsecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestSlowSelfRefreshPanics(t *testing.T) {
 	t.Run("not in self-refresh", func(t *testing.T) {
 		defer func() {

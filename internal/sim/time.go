@@ -1,13 +1,17 @@
 // Package sim provides the simulation substrate shared by every other
 // package in the repository: a picosecond time base, a deterministic
-// pseudo-random number generator, and a discrete event queue.
+// pseudo-random number generator, and the shard runner for vault-parallel
+// runs.
 //
 // All simulations in this repository are deterministic: given the same
 // configuration and seed they produce bit-identical results. Nothing in
 // this package reads wall-clock time or global random state.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulation timestamp in picoseconds. The zero value is the
 // start of simulation. int64 picoseconds cover about 106 days, far more
@@ -53,14 +57,20 @@ func (t Time) String() string {
 	}
 }
 
-// FromNanoseconds converts a floating point nanosecond count to Time.
-func FromNanoseconds(ns float64) Time { return Time(ns * float64(Nanosecond)) }
-
-// FromMilliseconds converts a floating point millisecond count to Time.
-func FromMilliseconds(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// FromSeconds converts a floating point second count to Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+// FromUnits returns n units of the positive duration unit, e.g.
+// FromUnits(64, Millisecond) for a 64 ms flag. It is the checked form of
+// Time(n) * unit: a negative count, or a product past the int64
+// picosecond range (about 106 days), is an error instead of a silent
+// wrap.
+func FromUnits(n int64, unit Duration) (Duration, error) {
+	switch {
+	case n < 0:
+		return 0, fmt.Errorf("sim: negative count %d", n)
+	case n > math.MaxInt64/int64(unit):
+		return 0, fmt.Errorf("sim: %d x %v overflows int64 picoseconds", n, unit)
+	}
+	return Time(n) * unit, nil
+}
 
 // Min returns the smaller of two times.
 func Min(a, b Time) Time {

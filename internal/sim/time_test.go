@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -64,14 +66,37 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestFromUnits(t *testing.T) {
-	if got := FromNanoseconds(70); got != 70*Nanosecond {
-		t.Errorf("FromNanoseconds(70) = %d", int64(got))
+	cases := []struct {
+		n    int64
+		unit Duration
+		want Duration
+		err  string // substring of the error; "" = accepted
+	}{
+		{70, Nanosecond, 70 * Nanosecond, ""},
+		{64, Millisecond, 64 * Millisecond, ""},
+		{2, Second, 2 * Second, ""},
+		{0, Millisecond, 0, ""},
+		{math.MaxInt64, Picosecond, math.MaxInt64, ""},
+		// The millisecond boundary: floor(MaxInt64 / 1e9).
+		{9223372036, Millisecond, 9223372036 * Millisecond, ""},
+		{9223372037, Millisecond, 0, "overflows"},
+		{18446744074, Millisecond, 0, "overflows"}, // wrapped to 290.4us before
+		{9223372036855, Microsecond, 0, "overflows"},
+		{math.MaxInt64, Second, 0, "overflows"},
+		{-5, Millisecond, 0, "negative"},
+		{math.MinInt64, Picosecond, 0, "negative"},
 	}
-	if got := FromMilliseconds(64); got != 64*Millisecond {
-		t.Errorf("FromMilliseconds(64) = %d", int64(got))
-	}
-	if got := FromSeconds(2); got != 2*Second {
-		t.Errorf("FromSeconds(2) = %d", int64(got))
+	for _, c := range cases {
+		got, err := FromUnits(c.n, c.unit)
+		if c.err == "" {
+			if err != nil || got != c.want {
+				t.Errorf("FromUnits(%d, %d) = %d, %v; want %d", c.n, int64(c.unit), int64(got), err, int64(c.want))
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("FromUnits(%d, %d) = %d, %v; want error containing %q", c.n, int64(c.unit), int64(got), err, c.err)
+		}
 	}
 }
 

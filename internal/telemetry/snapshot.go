@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 
 	"smartrefresh/internal/atomicio"
 	"smartrefresh/internal/sim"
@@ -55,8 +56,12 @@ func (s *Snapshotter) Observe(now sim.Time, records uint64) error {
 	if s == nil || now < s.next {
 		return nil
 	}
-	for s.next <= now {
-		s.next += s.every
+	// The next boundary is the first multiple of every past now,
+	// saturated at the end of the time range.
+	if k := now/s.every + 1; k > math.MaxInt64/s.every {
+		s.next = math.MaxInt64
+	} else {
+		s.next = k * s.every
 	}
 	s.seq++
 	return s.emit(Snapshot{Seq: s.seq, SimTime: now, Records: records, Metrics: s.reg.SortedSnapshot()})

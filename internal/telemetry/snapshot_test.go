@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/stats"
@@ -146,5 +148,79 @@ func TestFileEmitterAtomicRewrite(t *testing.T) {
 	// The file holds only the latest snapshot.
 	if snap.Seq != 3 || snap.Records != 3 {
 		t.Fatalf("file snapshot = %+v, want seq 3", snap)
+	}
+}
+
+// TestSnapshotterNearEndOfTime checks Observe terminates when the next
+// boundary lies past the int64 picosecond range: stepping the boundary
+// one interval at a time overflowed into negative times and never left
+// the loop.
+func TestSnapshotterNearEndOfTime(t *testing.T) {
+	var got []Snapshot
+	every := 4611686018 * sim.Millisecond // 2*every fits, 3*every overflows
+	s := NewSnapshotter(NewRegistry(), every, func(snap Snapshot) error {
+		got = append(got, snap)
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		if err := s.Observe(math.MaxInt64, 1); err != nil {
+			done <- err
+			return
+		}
+		done <- s.Observe(math.MaxInt64-1, 2)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Observe(MaxInt64) did not return")
+	}
+	// One snapshot at the end of time; the saturated boundary is not
+	// crossed again before it.
+	if len(got) != 1 || got[0].Seq != 1 || got[0].SimTime != math.MaxInt64 {
+		t.Fatalf("snapshots = %+v, want one at MaxInt64", got)
+	}
+}
+
+// TestSnapshotterMatchesSteppingReference checks the arithmetic
+// boundary against the interval-stepping loop it replaced: over random
+// in-range cadences and monotone observation times, the emitted count,
+// Seq and SimTime are the same.
+func TestSnapshotterMatchesSteppingReference(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 200; trial++ {
+		every := sim.Duration(1 + rng.Intn(1000))
+		var got []Snapshot
+		s := NewSnapshotter(NewRegistry(), every, func(snap Snapshot) error {
+			got = append(got, snap)
+			return nil
+		})
+		var want []Snapshot
+		next, seq := every, 0
+		now := sim.Time(0)
+		for i := 0; i < 100; i++ {
+			now += sim.Time(rng.Intn(3 * int(every)))
+			if err := s.Observe(now, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if now >= next {
+				for next <= now {
+					next += every
+				}
+				seq++
+				want = append(want, Snapshot{Seq: seq, SimTime: now, Records: uint64(i)})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("every=%d: %d snapshots, want %d", every, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || got[i].SimTime != want[i].SimTime || got[i].Records != want[i].Records {
+				t.Fatalf("every=%d: snapshot %d = %+v, want %+v", every, i, got[i], want[i])
+			}
+		}
 	}
 }
