@@ -236,10 +236,13 @@ func parsePolicy(name string) (experiment.PolicyKind, error) {
 // a binary trace, via the atomic writer so an interrupted capture never
 // leaves a torn file that looks like a trace.
 func captureBenchmark(prof workload.Profile, opts experiment.RunOptions, path string) error {
+	end, err := opts.End()
+	if err != nil {
+		return err
+	}
 	return atomicio.WriteFile(path, func(w io.Writer) error {
 		bw := trace.NewBinaryWriter(w)
 		src := trace.NewCapture(prof.NewSource(opts.Stacked), bw)
-		end := opts.Warmup + opts.Measure
 		for {
 			rec, ok := src.Next()
 			if !ok || rec.Time >= end {
@@ -260,6 +263,10 @@ func runRetentionAware(cfg config.DRAM, benchmark string, opts experiment.RunOpt
 	if err != nil {
 		return err
 	}
+	end, err := opts.End()
+	if err != nil {
+		return err
+	}
 	cfg.Smart.SelfDisable = false
 	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
 	policy := core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart, rmap)
@@ -276,7 +283,6 @@ func runRetentionAware(cfg config.DRAM, benchmark string, opts experiment.RunOpt
 		return err
 	}
 	gen := prof.NewSource(opts.Stacked)
-	end := opts.Warmup + opts.Measure
 	for {
 		rec, ok := gen.Next()
 		if !ok || rec.Time >= end {
@@ -299,6 +305,10 @@ func runRAIDR(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf 
 	if err != nil {
 		return err
 	}
+	end, err := opts.End()
+	if err != nil {
+		return err
+	}
 	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
 	policy := core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), core.DefaultRAIDRConfig(), rmap)
 	ctl, err := memctrl.New(cfg, policy, memctrl.Options{
@@ -316,7 +326,6 @@ func runRAIDR(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf 
 		return err
 	}
 	gen := prof.NewSource(opts.Stacked)
-	end := opts.Warmup + opts.Measure
 	for {
 		rec, ok := gen.Next()
 		if !ok || rec.Time >= end {

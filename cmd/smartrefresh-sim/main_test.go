@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,6 +128,29 @@ func TestRunTimeFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s %s: error %v, want it to contain %q", c.flag, c.value, err, c.want)
 		}
+	}
+}
+
+// Each of -warmup-ms and -measure-ms is in range, but their sum is not:
+// every run path must stop with the run-window error instead of
+// simulating towards a wrapped end time. -capture checks the window
+// before it writes anything.
+func TestRunWindowOverflow(t *testing.T) {
+	capture := filepath.Join(t.TempDir(), "capture.trc")
+	for _, extra := range [][]string{
+		{"-policy", "smart"},
+		{"-policy", "raidr"},
+		{"-policy", "smart-retention"},
+		{"-policy", "cbr", "-config", "hmc-8vault"},
+		{"-policy", "smart", "-capture", capture},
+	} {
+		args := append([]string{"-warmup-ms", "9223372036", "-measure-ms", "1"}, extra...)
+		if err := runQuiet(t, args...); !errors.Is(err, experiment.ErrRunWindow) {
+			t.Errorf("%v: error %v, want the run-window error", extra, err)
+		}
+	}
+	if _, err := os.Stat(capture); !os.IsNotExist(err) {
+		t.Errorf("-capture wrote %s for an invalid window (stat error %v)", capture, err)
 	}
 }
 

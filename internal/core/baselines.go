@@ -15,17 +15,13 @@ import (
 // to demand traffic, so every row is refreshed every interval regardless of
 // recent accesses — exactly the waste Smart Refresh removes.
 type CBR struct {
-	geom     dram.Geometry
-	interval sim.Duration
-	// totalRows and totalBanks cache the geometry's products, so the
-	// per-tick path never copies the Geometry into its value methods.
-	totalRows  int64
-	totalBanks int
-	start      sim.Time
-	tick       int64    // next refresh slot index
-	nextAt     sim.Time // slotTime(tick), cached for the hot NextTick path
-	bank       int      // next flat bank index (round-robin)
-	stats      PolicyStats
+	// nChannels, nRanks and nBanks are the geometry's dimensions, kept
+	// for the round-robin bank walk so the per-tick path never copies
+	// the Geometry.
+	nChannels, nRanks, nBanks int
+	clock                     slotClock   // TotalRows slots per interval
+	bank                      dram.BankID // bank of the next refresh slot
+	stats                     PolicyStats
 }
 
 // NewCBR constructs the distributed CBR policy.
@@ -33,7 +29,12 @@ func NewCBR(g dram.Geometry, interval sim.Duration) *CBR {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CBR{geom: g, interval: interval, totalRows: int64(g.TotalRows()), totalBanks: g.TotalBanks()}
+	c := &CBR{
+		nChannels: g.Channels,
+		nRanks:    g.Ranks,
+		nBanks:    g.Banks,
+		clock:     newSlotClock(0, interval, int64(g.TotalRows())),
+	}
 	c.Reset(0)
 	return c
 }
@@ -43,44 +44,47 @@ func (c *CBR) Name() string { return "cbr" }
 
 // Reset implements Policy.
 func (c *CBR) Reset(start sim.Time) {
-	c.start = start
-	c.tick = 0
-	c.nextAt = start // slotTime(0)
-	c.bank = 0
+	c.clock.reset(start)
+	c.bank = dram.BankID{}
 	c.stats = PolicyStats{}
 }
 
 // OnRowRestore implements Policy; CBR ignores demand traffic.
 func (c *CBR) OnRowRestore(sim.Time, dram.RowID) {}
 
-// slotTime returns the time of refresh slot k, spreading TotalRows slots
-// evenly over each interval without cumulative drift.
-func (c *CBR) slotTime(k int64) sim.Time {
-	whole := k / c.totalRows
-	frac := k % c.totalRows
-	return c.start + sim.Time(whole)*c.interval + sim.Time(frac)*c.interval/sim.Time(c.totalRows)
-}
-
 // NextTick implements Policy.
-func (c *CBR) NextTick() (sim.Time, bool) { return c.nextAt, true }
+func (c *CBR) NextTick() (sim.Time, bool) { return c.clock.at, true }
 
-// Advance implements Policy.
+// Advance implements Policy: one CBR command per slot, TotalRows slots
+// spread evenly over each interval, banks visited round-robin.
 func (c *CBR) Advance(t sim.Time, dst []Command) []Command {
-	for c.nextAt <= t {
-		b := c.bank
-		c.bank = (c.bank + 1) % c.totalBanks
-		c.tick++
-		c.nextAt = c.slotTime(c.tick)
-		ch := b / (c.geom.Ranks * c.geom.Banks)
-		rem := b % (c.geom.Ranks * c.geom.Banks)
-		dst = append(dst, Command{
-			Bank: dram.BankID{Channel: ch, Rank: rem / c.geom.Banks, Bank: rem % c.geom.Banks},
-			Row:  -1,
-			Kind: dram.RefreshCBR,
-		})
+	for c.clock.at <= t {
+		dst = append(dst, Command{Bank: c.bank, Row: -1, Kind: dram.RefreshCBR})
+		stepBank(&c.bank, c.nChannels, c.nRanks, c.nBanks)
+		c.clock.step()
 		c.stats.RefreshesRequested++
 	}
 	return dst
+}
+
+// stepBank advances b to the next bank in flat bank order (bank index
+// fastest, then rank, then channel) of a module with the given
+// dimensions, wrapping from the last bank to the first; it reports
+// whether it wrapped.
+func stepBank(b *dram.BankID, channels, ranks, banks int) bool {
+	if b.Bank++; b.Bank < banks {
+		return false
+	}
+	b.Bank = 0
+	if b.Rank++; b.Rank < ranks {
+		return false
+	}
+	b.Rank = 0
+	if b.Channel++; b.Channel < channels {
+		return false
+	}
+	b.Channel = 0
+	return true
 }
 
 // Stats implements Policy.

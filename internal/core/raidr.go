@@ -196,9 +196,11 @@ func (c RAIDRConfig) validate() error {
 // refreshes with explicit row addresses, since the module's internal
 // CBR counter cannot skip rows.
 type RAIDR struct {
-	geom     dram.Geometry
-	interval sim.Duration
-	cfg      RAIDRConfig
+	cfg RAIDRConfig
+
+	// nChannels, nRanks, nBanks and nRows are the geometry's dimensions,
+	// kept so the per-slot path never copies the Geometry.
+	nChannels, nRanks, nBanks, nRows int
 
 	// filters holds one Bloom filter per explicit (non-final) bin, in
 	// BinMultipliers order; the last bin is implicit.
@@ -210,10 +212,15 @@ type RAIDR struct {
 	// verdict against the profile.
 	prof *RetentionMap
 
-	start  sim.Time
-	tick   int64    // wheel slot counter; pass = tick / TotalRows
-	nextAt sim.Time // slotTime(tick), cached for the hot NextTick path
-	stats  PolicyStats
+	// clock is the wheel: TotalRows slots per base interval, pass =
+	// clock.pass. The slot at clock.frac visits row wheelRow of bank
+	// wheelBank: consecutive slots walk the banks round-robin and move
+	// to the next row after the last bank, so due refreshes never chain
+	// behind one bank (the shape of CBR's bank walk).
+	clock     slotClock
+	wheelBank dram.BankID
+	wheelRow  int
+	stats     PolicyStats
 }
 
 // NewRAIDR builds the policy and programs its bin filters from the
@@ -232,7 +239,15 @@ func NewRAIDR(g dram.Geometry, interval sim.Duration, cfg RAIDRConfig, prof *Ret
 	if prof == nil {
 		panic("core: raidr needs a profiled retention map")
 	}
-	r := &RAIDR{geom: g, interval: interval, cfg: cfg, prof: prof}
+	r := &RAIDR{
+		cfg:       cfg,
+		prof:      prof,
+		nChannels: g.Channels,
+		nRanks:    g.Ranks,
+		nBanks:    g.Banks,
+		nRows:     g.Rows,
+		clock:     newSlotClock(0, interval, int64(g.TotalRows())),
+	}
 	r.filters = make([]*BloomFilter, len(cfg.BinMultipliers)-1)
 	for i := range r.filters {
 		r.filters[i] = NewBloomFilter(cfg.BloomBits, cfg.BloomHashes, bloomMix(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15))
@@ -287,7 +302,7 @@ func (r *RAIDR) BinMultiplier(flat int) int { return r.lookupBin(flat) }
 // by the row count. The differential harness uses it to scale the
 // oracle bound.
 func (r *RAIDR) RefreshShare() float64 {
-	total := r.geom.TotalRows()
+	total := int(r.clock.n)
 	share := 0.0
 	for flat := 0; flat < total; flat++ {
 		share += 1 / float64(r.lookupBin(flat))
@@ -311,48 +326,31 @@ func (r *RAIDR) Name() string { return "raidr" }
 // Reset implements Policy. The filters keep their programming — they
 // are profile state, not run state.
 func (r *RAIDR) Reset(start sim.Time) {
-	r.start = start
-	r.tick = 0
-	r.nextAt = start // slotTime(0)
+	r.clock.reset(start)
+	r.wheelBank, r.wheelRow = dram.BankID{}, 0
 	r.stats = PolicyStats{}
 }
 
 // OnRowRestore implements Policy; the wheel is demand-oblivious.
 func (r *RAIDR) OnRowRestore(sim.Time, dram.RowID) {}
 
-// slotTime returns the time of wheel slot k, spreading TotalRows slots
-// evenly over each base interval without cumulative drift (the CBR
-// cadence).
-func (r *RAIDR) slotTime(k int64) sim.Time {
-	total := int64(r.geom.TotalRows())
-	whole := k / total
-	frac := k % total
-	return r.start + sim.Time(whole)*r.interval + sim.Time(frac)*r.interval/sim.Time(total)
-}
-
-// slotFlat maps a wheel slot within a pass to a flat row index,
-// interleaving banks round-robin (consecutive slots hit different
-// banks, so due refreshes never chain behind one bank — the same shape
-// as CBR's bank walk).
-func (r *RAIDR) slotFlat(slot int64) int {
-	banks := int64(r.geom.TotalBanks())
-	return int((slot%banks)*int64(r.geom.Rows) + slot/banks)
-}
-
 // NextTick implements Policy.
-func (r *RAIDR) NextTick() (sim.Time, bool) { return r.nextAt, true }
+func (r *RAIDR) NextTick() (sim.Time, bool) { return r.clock.at, true }
 
 // Advance implements Policy: constant work per wheel slot — one filter
 // chain lookup, then either a RAS-only refresh command or a skip.
 func (r *RAIDR) Advance(t sim.Time, dst []Command) []Command {
-	total := int64(r.geom.TotalRows())
-	for r.nextAt <= t {
-		slot := r.tick % total
-		pass := r.tick / total
-		r.tick++
-		r.nextAt = r.slotTime(r.tick)
+	for r.clock.at <= t {
+		pass := r.clock.pass
+		bank, row := r.wheelBank, r.wheelRow
+		flat := ((bank.Channel*r.nRanks+bank.Rank)*r.nBanks+bank.Bank)*r.nRows + row
+		r.clock.step()
+		if stepBank(&r.wheelBank, r.nChannels, r.nRanks, r.nBanks) {
+			if r.wheelRow++; r.wheelRow == r.nRows {
+				r.wheelRow = 0
+			}
+		}
 
-		flat := r.slotFlat(slot)
 		mult := r.lookupBin(flat)
 		r.stats.BloomLookups++
 		if r.prof != nil && mult < r.cfg.BinMultipliers[r.binIndexFor(r.prof.multiplierFlat(flat))] {
@@ -364,8 +362,7 @@ func (r *RAIDR) Advance(t sim.Time, dst []Command) []Command {
 			r.stats.SkippedIndexings++
 			continue
 		}
-		row := dram.RowFromFlat(r.geom, flat)
-		dst = append(dst, Command{Bank: row.BankOf(), Row: row.Row, Kind: dram.RefreshRASOnly})
+		dst = append(dst, Command{Bank: bank, Row: row, Kind: dram.RefreshRASOnly})
 		r.stats.RefreshesRequested++
 	}
 	return dst

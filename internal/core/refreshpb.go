@@ -64,8 +64,10 @@ func (c PerBankConfig) withDefaults() PerBankConfig {
 
 // pbBank is one bank's scheduling state.
 type pbBank struct {
-	tick   int64    // next slot index
-	nextAt sim.Time // slotTime(tick), cached for the hot NextTick path
+	// clock is the bank's slot schedule: Rows slots per interval, offset
+	// by the bank's stagger.
+	clock slotClock
+	id    dram.BankID
 	// credit is the bank's refresh deficit: positive = owed (postponed)
 	// refreshes, negative = refreshes issued ahead of schedule. Bounded
 	// by [-MaxPullIn, MaxPostpone].
@@ -82,10 +84,12 @@ type pbBank struct {
 // PerBank is the shared machinery of the DARP/SARP policy pair; construct
 // with NewDARP or NewSARP.
 type PerBank struct {
-	geom     dram.Geometry
 	interval sim.Duration
 	cfg      PerBankConfig
-	start    sim.Time
+
+	// nChannels, nRanks, nBanks and nRows are the geometry's dimensions,
+	// kept so the per-demand path never copies the Geometry.
+	nChannels, nRanks, nBanks, nRows int
 
 	// dodge selects DARP's demand arbitration; overlap marks emitted
 	// commands for the SARP-style overlapped issue form.
@@ -126,13 +130,16 @@ func newPerBank(g dram.Geometry, interval sim.Duration, cfg PerBankConfig, name 
 		panic(fmt.Sprintf("core: non-positive refresh interval %v", interval))
 	}
 	p := &PerBank{
-		geom:     g,
-		interval: interval,
-		cfg:      cfg.withDefaults(),
-		dodge:    dodge,
-		overlap:  overlap,
-		name:     name,
-		banks:    make([]pbBank, g.TotalBanks()),
+		interval:  interval,
+		cfg:       cfg.withDefaults(),
+		nChannels: g.Channels,
+		nRanks:    g.Ranks,
+		nBanks:    g.Banks,
+		nRows:     g.Rows,
+		dodge:     dodge,
+		overlap:   overlap,
+		name:      name,
+		banks:     make([]pbBank, g.TotalBanks()),
 	}
 	p.idleWindow = p.cfg.IdleWindow
 	if p.idleWindow <= 0 {
@@ -148,34 +155,33 @@ func (p *PerBank) Name() string { return p.name }
 // farPast seeds demand trackers so every bank starts idle.
 const farPast = sim.Time(-1) << 40
 
-// Reset implements Policy.
+// Reset implements Policy. Each bank's slots run at Rows per interval
+// without cumulative drift, bank b staggered by b/(Rows·banks) of an
+// interval so the nominal schedules never collide.
 func (p *PerBank) Reset(start sim.Time) {
-	p.start = start
+	rows := int64(p.nRows)
+	var id dram.BankID
 	for i := range p.banks {
-		p.banks[i] = pbBank{nextAt: p.slotTime(i, 0), lastDemand: farPast, prevDemand: farPast}
+		stagger := sim.Time(i) * p.interval / sim.Time(rows*int64(len(p.banks)))
+		p.banks[i] = pbBank{
+			clock:      newSlotClock(start+stagger, p.interval, rows),
+			id:         id,
+			lastDemand: farPast,
+			prevDemand: farPast,
+		}
+		stepBank(&id, p.nChannels, p.nRanks, p.nBanks)
 	}
 	p.stats = PolicyStats{}
 	p.recomputeNext()
 }
 
-// slotTime returns the time of bank b's k-th refresh slot: Rows slots per
-// interval without cumulative drift, banks staggered by a fraction of a
-// slot so the nominal schedules never collide.
-func (p *PerBank) slotTime(b int, k int64) sim.Time {
-	rows := int64(p.geom.Rows)
-	whole := k / rows
-	frac := k % rows
-	at := p.start + sim.Time(whole)*p.interval + sim.Time(frac)*p.interval/sim.Time(rows)
-	return at + sim.Time(b)*p.interval/sim.Time(rows*int64(len(p.banks)))
-}
-
 // recomputeNext rescans the cached earliest slot.
 func (p *PerBank) recomputeNext() {
 	p.nextBank = 0
-	p.next = p.banks[0].nextAt
+	p.next = p.banks[0].clock.at
 	for i := 1; i < len(p.banks); i++ {
-		if p.banks[i].nextAt < p.next {
-			p.next = p.banks[i].nextAt
+		if at := p.banks[i].clock.at; at < p.next {
+			p.next = at
 			p.nextBank = i
 		}
 	}
@@ -194,7 +200,7 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank dram.BankID, write bool) {
 	if write {
 		return
 	}
-	b := &p.banks[bank.Flat(p.geom)]
+	b := &p.banks[(bank.Channel*p.nRanks+bank.Rank)*p.nBanks+bank.Bank]
 	if t > b.lastDemand {
 		b.prevDemand = b.lastDemand
 		b.lastDemand = t
@@ -204,18 +210,11 @@ func (p *PerBank) OnDemandObserved(t sim.Time, bank dram.BankID, write bool) {
 // NextTick implements Policy.
 func (p *PerBank) NextTick() (sim.Time, bool) { return p.next, true }
 
-// bankID converts a flat bank index back to a BankID.
-func (p *PerBank) bankID(flat int) dram.BankID {
-	ch := flat / (p.geom.Ranks * p.geom.Banks)
-	rem := flat % (p.geom.Ranks * p.geom.Banks)
-	return dram.BankID{Channel: ch, Rank: rem / p.geom.Banks, Bank: rem % p.geom.Banks}
-}
-
 // emit appends one per-bank refresh command for flat bank b.
 func (p *PerBank) emit(b int, dst []Command) []Command {
 	p.banks[b].credit--
 	p.stats.RefreshesRequested++
-	return append(dst, Command{Bank: p.bankID(b), Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
+	return append(dst, Command{Bank: p.banks[b].id, Row: -1, Kind: dram.RefreshPerBank, Overlap: p.overlap})
 }
 
 // slotBusy reports whether a slot at time at has read demand within the
@@ -242,8 +241,7 @@ func (p *PerBank) Advance(t sim.Time, dst []Command) []Command {
 		b := p.nextBank
 		at := p.next
 		bank := &p.banks[b]
-		bank.tick++
-		bank.nextAt = p.slotTime(b, bank.tick)
+		bank.clock.step()
 		bank.credit++ // this slot's refresh is now owed
 
 		emitted := len(dst)

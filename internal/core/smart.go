@@ -111,13 +111,10 @@ type Smart struct {
 
 	rowsPerSeg int
 
-	// Tick bookkeeping. Tick k indexes position (k mod rowsPerSeg) of
-	// every segment. A full pass over a segment takes one counter access
-	// period = interval / 2^bits.
-	capPeriod sim.Duration // counter access period
-	start     sim.Time
-	tick      int64    // next tick index to execute
-	nextAt    sim.Time // tickTime(tick), cached for the hot NextTick path
+	// clock is the tick schedule: rowsPerSeg ticks per counter access
+	// period (interval / 2^bits). The next tick to execute indexes
+	// position clock.frac of every segment, at clock.at.
+	clock slotClock
 
 	pending []Command // bounded by cfg.QueueDepth
 
@@ -159,7 +156,7 @@ func NewSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig) *Smart {
 		modulus:    1 << cfg.CounterBits,
 		max:        uint8(1<<cfg.CounterBits - 1),
 		rowsPerSeg: total / cfg.Segments,
-		capPeriod:  interval / sim.Duration(int64(1)<<cfg.CounterBits),
+		clock:      newSlotClock(0, interval/sim.Duration(int64(1)<<cfg.CounterBits), int64(total/cfg.Segments)),
 		pending:    make([]Command, 0, cfg.QueueDepth),
 		cbr:        NewCBR(g, interval),
 	}
@@ -183,9 +180,7 @@ func (s *Smart) Config() SmartConfig { return s.cfg }
 // counters indexed at any tick are zero and refreshes stay evenly
 // distributed.
 func (s *Smart) Reset(start sim.Time) {
-	s.start = start
-	s.tick = 0
-	s.nextAt = start
+	s.clock.reset(start)
 	s.pending = s.pending[:0]
 	s.disabled = false
 	s.windowStart = start
@@ -247,16 +242,6 @@ func (s *Smart) resetValue(flat int) uint8 {
 	return s.max
 }
 
-// tickTime returns the simulated time of tick k without cumulative
-// rounding drift: k/rowsPerSeg whole counter access periods plus the
-// fractional position inside the current period.
-func (s *Smart) tickTime(k int64) sim.Time {
-	whole := k / int64(s.rowsPerSeg)
-	frac := k % int64(s.rowsPerSeg)
-	return s.start + sim.Time(whole)*s.capPeriod +
-		sim.Time(frac)*s.capPeriod/sim.Time(s.rowsPerSeg)
-}
-
 // OnRowRestore implements Policy: the row's counter is reset to its
 // maximum (one SRAM write), both when the row is opened and when its page
 // is closed (section 4.1). Counters are "evenly hashed" into segments by
@@ -296,7 +281,7 @@ func (s *Smart) NextTick() (sim.Time, bool) {
 		}
 		return next, true
 	}
-	return s.nextAt, true
+	return s.clock.at, true
 }
 
 // Advance implements Policy.
@@ -319,7 +304,7 @@ func (s *Smart) Advance(t sim.Time, dst []Command) []Command {
 			s.maybeSwitchMode(boundary)
 			continue
 		}
-		next := s.nextAt
+		next := s.clock.at
 		if next > t {
 			return dst
 		}
@@ -333,7 +318,7 @@ func (s *Smart) Advance(t sim.Time, dst []Command) []Command {
 // decrement. At most Segments requests are generated, which is the queue
 // bound of section 5.
 func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
-	pos := int(s.tick % int64(s.rowsPerSeg))
+	pos := int(s.clock.frac)
 	segs := s.cfg.Segments
 	slots := s.counters[pos*segs : (pos+1)*segs]
 	generated := 0
@@ -392,8 +377,7 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 		dst = append(dst, s.pending...)
 		s.pending = s.pending[:0]
 	}
-	s.tick++
-	s.nextAt = s.tickTime(s.tick)
+	s.clock.step()
 	return dst
 }
 
@@ -427,9 +411,7 @@ func (s *Smart) maybeSwitchMode(now sim.Time) {
 			// interval + counter access period. The sweep emits at most
 			// Segments requests per tick, so the pending queue bound
 			// still holds.
-			s.start = boundary
-			s.tick = 0
-			s.nextAt = boundary
+			s.clock.reset(boundary)
 			for i := range s.counters {
 				s.counters[i] = 0
 			}
@@ -461,9 +443,9 @@ func (s *Smart) CounterValue(row dram.RowID) uint8 {
 }
 
 // CounterAccessPeriod returns interval / 2^bits (section 4.2).
-func (s *Smart) CounterAccessPeriod() sim.Duration { return s.capPeriod }
+func (s *Smart) CounterAccessPeriod() sim.Duration { return s.clock.period }
 
 // TickPeriod returns the spacing between counter indexing ticks.
 func (s *Smart) TickPeriod() sim.Duration {
-	return s.capPeriod / sim.Duration(s.rowsPerSeg)
+	return s.clock.period / sim.Duration(s.rowsPerSeg)
 }

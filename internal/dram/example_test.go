@@ -18,12 +18,14 @@ func Example_openPagePolicy() {
 	}
 	m := dram.NewModule(g, dram.DDR2_667(64*sim.Millisecond))
 
+	// Access fills a caller-owned result in place.
+	var r1, r2, r3 dram.AccessResult
 	a := dram.Address{RowID: dram.RowID{Bank: 0, Row: 5}, Column: 0}
-	r1 := m.Access(0, a, false)
+	m.Access(0, a, false, &r1)
 	a.Column = 8
-	r2 := m.Access(r1.Done, a, false)
+	m.Access(r1.Done, a, false, &r2)
 	b := dram.Address{RowID: dram.RowID{Bank: 0, Row: 9}, Column: 0}
-	r3 := m.Access(r2.Done, b, false)
+	m.Access(r2.Done, b, false, &r3)
 
 	fmt.Printf("first:  hit=%v conflict=%v\n", r1.RowHit, r1.Conflict)
 	fmt.Printf("second: hit=%v conflict=%v\n", r2.RowHit, r2.Conflict)
@@ -45,17 +47,19 @@ func Example_refreshKinds() {
 	m := dram.NewModule(g, dram.DDR2_667(64*sim.Millisecond))
 
 	// Three CBR refreshes walk rows 0, 1, 2 on their own.
+	// One result is reused: each refresh overwrites it.
+	var res dram.RefreshResult
 	var rows []int
 	var t sim.Time
 	for i := 0; i < 3; i++ {
-		res := m.RefreshNextCBR(t, dram.BankID{Bank: 0})
+		m.RefreshNextCBR(t, dram.BankID{Bank: 0}, &res)
 		rows = append(rows, res.Row.Row)
 		t = res.Done
 	}
 	fmt.Println("CBR rows:", rows)
 
 	// RAS-only refresh targets exactly the row the controller names.
-	res := m.RefreshRow(t, dram.RowID{Bank: 1, Row: 6})
+	m.RefreshRow(t, dram.RowID{Bank: 1, Row: 6}, &res)
 	fmt.Printf("RAS-only: row %d, kind %v\n", res.Row.Row, res.Kind)
 	// Output:
 	// CBR rows: [0 1 2]

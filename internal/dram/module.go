@@ -92,6 +92,13 @@ type RefreshResult struct {
 	ClosedRow     RowID
 }
 
+// set starts a refresh result, field by field so no struct-sized zero or
+// copy is made; the caller sets Done, and refreshClose the closed page.
+func (r *RefreshResult) set(row RowID, kind RefreshKind, issue sim.Time) {
+	r.Row, r.Kind, r.Issue, r.Done = row, kind, issue, 0
+	r.ClosedOpenRow, r.ClosedRow = false, RowID{}
+}
+
 // ModuleStats aggregates the activity counts and state-residency times the
 // power model consumes.
 type ModuleStats struct {
@@ -470,10 +477,12 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 }
 
 // Access performs one demand read or write under the open-page policy and
-// returns the command/data timing plus which rows were opened or closed.
-// The request is presented at time t; if the bank is busy the access
-// stalls until it is ready.
-func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
+// fills res with the command/data timing plus which rows were opened or
+// closed; every field of res is overwritten. The request is presented at
+// time t; if the bank is busy the access stalls until it is ready.
+// Filling a caller-owned result keeps the 120-byte struct from being
+// copied out on every access.
+func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult) {
 	if !m.validRow(addr.RowID) || addr.Column < 0 || addr.Column >= m.nColumns {
 		panic(fmt.Sprintf("dram: access to invalid address %+v", addr))
 	}
@@ -486,7 +495,6 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	b := &m.banks[bi]
 	ch := &m.channels[addr.Channel]
 
-	res := AccessResult{}
 	ready := b.readyAt
 	if b.srefUntil > t && addr.Row/m.subRows == b.srefSub && b.srefUntil > ready {
 		// An overlapped refresh is restoring this row's subarray: demand
@@ -497,7 +505,12 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	if issue > t {
 		m.stats.DemandStall += issue - t
 	}
-	res.Issue = issue
+	// Field by field, so no struct-sized zero or copy is made; DataStart
+	// and Done are set below.
+	res.Issue, res.RowHit, res.Conflict = issue, false, false
+	res.ClosedRow, res.ClosedRowSet = RowID{}, false
+	res.OpenedRow, res.OpenedRowSet = RowID{}, false
+	res.ActivateAt = 0
 
 	cas := issue // when the column command can go
 	if b.openRow == addr.Row {
@@ -564,22 +577,22 @@ func (m *Module) Access(t sim.Time, addr Address, write bool) AccessResult {
 	}
 	m.stats.Accesses++
 	m.observe(dataDone)
-	return res
 }
 
 // RefreshRow performs a RAS-only refresh of the addressed row: the
 // controller supplies the row address. If the bank has an open page it is
 // closed first (counted as a conflict refresh; this is the higher-energy
-// case the paper describes).
-func (m *Module) RefreshRow(t sim.Time, row RowID) RefreshResult {
-	return m.refreshDur(t, row, RefreshRASOnly, m.tim.TRefreshRow)
+// case the paper describes). Like every refresh operation it fills the
+// caller-owned res, overwriting every field.
+func (m *Module) RefreshRow(t sim.Time, row RowID, res *RefreshResult) {
+	m.refreshDur(t, row, RefreshRASOnly, m.tim.TRefreshRow, res)
 }
 
 // RefreshNextCBR performs a CBR refresh on the given bank: the module's
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
-func (m *Module) RefreshNextCBR(t sim.Time, bank BankID) RefreshResult {
-	return m.refreshDur(t, m.nextCounterRow(bank), RefreshCBR, m.tim.TRefreshRow)
+func (m *Module) RefreshNextCBR(t sim.Time, bank BankID, res *RefreshResult) {
+	m.refreshDur(t, m.nextCounterRow(bank), RefreshCBR, m.tim.TRefreshRow, res)
 }
 
 // CBRCounter exposes a bank's internal refresh counter (for tests).
@@ -614,8 +627,8 @@ func subarrayRows(rows int) int {
 // (for Timing.PerBankRefreshDuration), and the rank's other banks keep
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
-func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
-	return m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.refPB)
+func (m *Module) RefreshBank(t sim.Time, bank BankID, res *RefreshResult) {
+	m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.refPB, res)
 }
 
 // RefreshBankOverlapped performs a per-bank refresh that parallelizes
@@ -626,7 +639,7 @@ func (m *Module) RefreshBank(t sim.Time, bank BankID) RefreshResult {
 // subarrays proceed, and an open page in another subarray stays open.
 // The rank-level activate-rate limits (tRRD, tFAW) still apply, since
 // the hidden activate draws real current.
-func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
+func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID, res *RefreshResult) {
 	row := m.nextCounterRow(bank)
 	if !m.validRow(row) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
@@ -640,15 +653,14 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 	b := &m.banks[bi]
 	dur := m.refPB
 
-	res := RefreshResult{Row: row, Kind: RefreshPerBank}
 	issue := m.clk.Next(sim.Max(t, b.readyAt))
-	res.Issue = issue
+	res.set(row, RefreshPerBank, issue)
 	start := issue
 
 	if b.openRow != -1 && b.openRow/m.subRows == row.Row/m.subRows {
 		// The open page lives in the refreshing subarray: it must close
 		// first — the same conflict case as a blocking refresh.
-		start = m.clk.Next(m.refreshClose(&res, bi, row, issue))
+		start = m.clk.Next(m.refreshClose(res, bi, row, issue))
 	}
 	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
 	m.ranks[ri].recordActivate(start)
@@ -676,7 +688,6 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID) RefreshResult {
 		m.trace.Command(telemetry.CmdRefreshPB, bi, row.Row, start, done)
 	}
 	m.observe(done)
-	return res
 }
 
 // RefreshAllBanks performs one all-bank refresh (REFab) on a rank: every
@@ -748,7 +759,7 @@ func (m *Module) refreshClose(res *RefreshResult, bi int, in RowID, issue sim.Ti
 }
 
 // refreshDur is the blocking refresh: the bank is fully occupied for dur.
-func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration) RefreshResult {
+func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration, res *RefreshResult) {
 	if !m.validRow(row) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
 	}
@@ -760,13 +771,12 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	}
 	b := &m.banks[bi]
 
-	res := RefreshResult{Row: row, Kind: kind}
 	issue := m.clk.Next(sim.Max(t, b.readyAt))
-	res.Issue = issue
+	res.set(row, kind, issue)
 
 	start := issue
 	if b.openRow != -1 {
-		start = m.clk.Next(m.refreshClose(&res, bi, row, issue))
+		start = m.clk.Next(m.refreshClose(res, bi, row, issue))
 	}
 	start = sim.Max(start, b.activateOKAt)
 	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
@@ -802,7 +812,6 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 		}
 	}
 	m.observe(done)
-	return res
 }
 
 // OpenRow reports the row currently open in a bank, or -1 if precharged.

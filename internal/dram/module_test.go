@@ -11,6 +11,39 @@ func testModule() *Module {
 	return NewModule(table1Geom2GB(), DDR2_667(64*sim.Millisecond))
 }
 
+// The helpers below run one module operation into a fresh result and
+// return it, for tests that read results as values.
+
+func access(m *Module, t sim.Time, addr Address, write bool) AccessResult {
+	var res AccessResult
+	m.Access(t, addr, write, &res)
+	return res
+}
+
+func refreshRow(m *Module, t sim.Time, row RowID) RefreshResult {
+	var res RefreshResult
+	m.RefreshRow(t, row, &res)
+	return res
+}
+
+func refreshNextCBR(m *Module, t sim.Time, bank BankID) RefreshResult {
+	var res RefreshResult
+	m.RefreshNextCBR(t, bank, &res)
+	return res
+}
+
+func refreshBank(m *Module, t sim.Time, bank BankID) RefreshResult {
+	var res RefreshResult
+	m.RefreshBank(t, bank, &res)
+	return res
+}
+
+func refreshBankOverlapped(m *Module, t sim.Time, bank BankID) RefreshResult {
+	var res RefreshResult
+	m.RefreshBankOverlapped(t, bank, &res)
+	return res
+}
+
 func TestTimingPresetValid(t *testing.T) {
 	if err := DDR2_667(64 * sim.Millisecond).Validate(); err != nil {
 		t.Fatalf("DDR2_667 invalid: %v", err)
@@ -50,7 +83,7 @@ func TestAccessRowMissThenHit(t *testing.T) {
 	m := testModule()
 	addr := Address{RowID: RowID{0, 0, 0, 5}, Column: 10}
 
-	r1 := m.Access(0, addr, false)
+	r1 := access(m, 0, addr, false)
 	if r1.RowHit {
 		t.Error("first access reported row hit")
 	}
@@ -64,7 +97,7 @@ func TestAccessRowMissThenHit(t *testing.T) {
 		t.Errorf("miss Done = %v, want >= %v", r1.Done, wantDone)
 	}
 
-	r2 := m.Access(r1.Done, addr, false)
+	r2 := access(m, r1.Done, addr, false)
 	if !r2.RowHit {
 		t.Error("second access to same row not a hit")
 	}
@@ -84,8 +117,8 @@ func TestAccessConflictClosesRow(t *testing.T) {
 	m := testModule()
 	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
 	a2 := Address{RowID: RowID{0, 0, 0, 9}, Column: 0}
-	r1 := m.Access(0, a1, false)
-	r2 := m.Access(r1.Done, a2, false)
+	r1 := access(m, 0, a1, false)
+	r2 := access(m, r1.Done, a2, false)
 	if !r2.Conflict {
 		t.Fatal("conflict not reported")
 	}
@@ -109,8 +142,8 @@ func TestAccessDifferentBanksIndependent(t *testing.T) {
 	m := testModule()
 	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
 	a2 := Address{RowID: RowID{0, 0, 1, 9}, Column: 0}
-	m.Access(0, a1, false)
-	r2 := m.Access(0, a2, false)
+	access(m, 0, a1, false)
+	r2 := access(m, 0, a2, false)
 	if r2.Conflict || r2.RowHit {
 		t.Error("access to different bank should be a plain miss")
 	}
@@ -123,12 +156,12 @@ func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 	m := testModule()
 	a1 := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
 	a2 := Address{RowID: RowID{0, 0, 0, 9}, Column: 0}
-	w := m.Access(0, a1, true)
-	conflictAfterWrite := m.Access(w.Done, a2, false)
+	w := access(m, 0, a1, true)
+	conflictAfterWrite := access(m, w.Done, a2, false)
 
 	m2 := testModule()
-	r := m2.Access(0, a1, false)
-	conflictAfterRead := m2.Access(r.Done, a2, false)
+	r := access(m2, 0, a1, false)
+	conflictAfterRead := access(m2, r.Done, a2, false)
 
 	if conflictAfterWrite.Done-conflictAfterWrite.Issue <= conflictAfterRead.Done-conflictAfterRead.Issue {
 		t.Errorf("write recovery did not lengthen conflict: write %v, read %v",
@@ -140,7 +173,7 @@ func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 func TestRefreshRowBasic(t *testing.T) {
 	m := testModule()
 	row := RowID{0, 0, 2, 77}
-	res := m.RefreshRow(1000, row)
+	res := refreshRow(m, 1000, row)
 	if res.Kind != RefreshRASOnly {
 		t.Error("kind wrong")
 	}
@@ -163,8 +196,8 @@ func TestRefreshRowBasic(t *testing.T) {
 func TestRefreshClosesOpenPage(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	r := m.Access(0, a, false)
-	res := m.RefreshRow(r.Done, RowID{0, 0, 0, 9})
+	r := access(m, 0, a, false)
+	res := refreshRow(m, r.Done, RowID{0, 0, 0, 9})
 	if !res.ClosedOpenRow || res.ClosedRow != a.RowID {
 		t.Errorf("refresh did not close open page: %+v", res)
 	}
@@ -183,7 +216,7 @@ func TestRefreshCBRCounterWraps(t *testing.T) {
 	var rows []int
 	var t0 sim.Time
 	for i := 0; i < 6; i++ {
-		res := m.RefreshNextCBR(t0, b)
+		res := refreshNextCBR(m, t0, b)
 		rows = append(rows, res.Row.Row)
 		t0 = res.Done
 		if res.Kind != RefreshCBR {
@@ -205,9 +238,9 @@ func TestRefreshCBRCounterWraps(t *testing.T) {
 func TestRefreshDelaysDemandAccess(t *testing.T) {
 	m := testModule()
 	row := RowID{0, 0, 0, 7}
-	res := m.RefreshRow(0, row)
+	res := refreshRow(m, 0, row)
 	// Demand access arriving mid-refresh must stall.
-	acc := m.Access(res.Issue+1, Address{RowID: RowID{0, 0, 0, 3}, Column: 0}, false)
+	acc := access(m, res.Issue+1, Address{RowID: RowID{0, 0, 0, 3}, Column: 0}, false)
 	if acc.Issue < res.Done {
 		t.Errorf("demand access issued at %v before refresh done %v", acc.Issue, res.Done)
 	}
@@ -219,10 +252,10 @@ func TestRefreshDelaysDemandAccess(t *testing.T) {
 func TestBackgroundAccounting(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	r := m.Access(1000, a, false)
+	r := access(m, 1000, a, false)
 	// Close the page via a conflict access long after.
 	gap := sim.Time(1 * sim.Microsecond)
-	m.Access(r.Done+gap, Address{RowID: RowID{0, 0, 0, 9}, Column: 0}, false)
+	access(m, r.Done+gap, Address{RowID: RowID{0, 0, 0, 9}, Column: 0}, false)
 	m.Finalize(2 * sim.Microsecond)
 	st := m.Stats()
 	if st.ActiveTime == 0 {
@@ -255,7 +288,7 @@ func TestAccessPanicsOnBadAddress(t *testing.T) {
 			t.Error("invalid address did not panic")
 		}
 	}()
-	m.Access(0, Address{RowID: RowID{0, 0, 0, 1 << 20}, Column: 0}, false)
+	access(m, 0, Address{RowID: RowID{0, 0, 0, 1 << 20}, Column: 0}, false)
 }
 
 func TestRefreshPanicsOnBadRow(t *testing.T) {
@@ -265,7 +298,7 @@ func TestRefreshPanicsOnBadRow(t *testing.T) {
 			t.Error("invalid row did not panic")
 		}
 	}()
-	m.RefreshRow(0, RowID{0, 0, 9, 0})
+	refreshRow(m, 0, RowID{0, 0, 9, 0})
 }
 
 // Property: command times never move backwards for a monotone request
@@ -289,7 +322,7 @@ func TestAccessMonotoneProperty(t *testing.T) {
 				Column: rng.Intn(g.Columns),
 			}
 			t0 += sim.Time(rng.Intn(100)) * sim.Nanosecond
-			res := m.Access(t0, addr, rng.Bool(0.3))
+			res := access(m, t0, addr, rng.Bool(0.3))
 			if res.Issue < t0 || res.DataStart < res.Issue || res.Done < res.DataStart {
 				return false
 			}
@@ -326,7 +359,7 @@ func TestBusSerialisationProperty(t *testing.T) {
 				},
 				Column: rng.Intn(g.Columns),
 			}
-			res := m.Access(t0, addr, false)
+			res := access(m, t0, addr, false)
 			if res.DataStart < busBusyUntil {
 				return false
 			}
@@ -351,13 +384,13 @@ func TestBankExclusionProperty(t *testing.T) {
 		var busyUntil sim.Time
 		for i := 0; i < 80; i++ {
 			if rng.Bool(0.4) {
-				res := m.RefreshRow(t0, RowID{0, 0, 0, rng.Intn(g.Rows)})
+				res := refreshRow(m, t0, RowID{0, 0, 0, rng.Intn(g.Rows)})
 				if res.Issue < busyUntil-m.Timing().TCK {
 					return false
 				}
 				busyUntil = res.Done
 			} else {
-				res := m.Access(t0, Address{RowID: RowID{0, 0, 0, rng.Intn(g.Rows)}, Column: 0}, false)
+				res := access(m, t0, Address{RowID: RowID{0, 0, 0, rng.Intn(g.Rows)}, Column: 0}, false)
 				_ = res
 			}
 			t0 += sim.Time(rng.Intn(50)) * sim.Nanosecond
@@ -385,7 +418,7 @@ func TestActivateRateLimits(t *testing.T) {
 		{RowID: RowID{0, 1, 0, 1}, Column: 0}, // other rank: unconstrained
 	}
 	for _, a := range reqs {
-		res := m.Access(0, a, false)
+		res := access(m, 0, a, false)
 		if !res.OpenedRowSet {
 			t.Fatal("expected a row miss")
 		}
@@ -412,7 +445,7 @@ func TestFourActivateWindow(t *testing.T) {
 	tt := m.Timing()
 	var acts []sim.Time
 	for b := 0; b < 5; b++ {
-		res := m.Access(0, Address{RowID: RowID{0, 0, b, 1}, Column: 0}, false)
+		res := access(m, 0, Address{RowID: RowID{0, 0, b, 1}, Column: 0}, false)
 		acts = append(acts, res.ActivateAt)
 	}
 	// The fifth activate must wait for tFAW after the first.
@@ -424,7 +457,7 @@ func TestFourActivateWindow(t *testing.T) {
 func TestPrechargeBank(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	res := m.Access(0, a, false)
+	res := access(m, 0, a, false)
 	row, closed := m.PrechargeBank(res.Done+sim.Microsecond, BankID{0, 0, 0})
 	if !closed || row != a.RowID {
 		t.Fatalf("PrechargeBank = %v, %v", row, closed)
@@ -441,7 +474,7 @@ func TestPrechargeBank(t *testing.T) {
 func TestPrechargeBankHonoursTRAS(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	res := m.Access(0, a, false)
+	res := access(m, 0, a, false)
 	// Request the precharge immediately; it must not complete before
 	// tRAS after the activate.
 	m.PrechargeBank(res.Issue, BankID{0, 0, 0})
@@ -456,7 +489,7 @@ func TestPrechargeBankHonoursTRAS(t *testing.T) {
 func TestPowerDownDisabledByDefault(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	res := m.Access(0, a, false)
+	res := access(m, 0, a, false)
 	m.PrechargeBank(res.Done, BankID{0, 0, 0})
 	m.EnterPowerDown(res.Done+sim.Microsecond, 0, 0, PDPrechargeFast)
 	m.EnterSelfRefresh(0, 0, 1)
@@ -493,7 +526,7 @@ func TestSelfRefreshResidency(t *testing.T) {
 		t.Errorf("entries = %d", st.SelfRefreshEntries)
 	}
 	// Post-exit access honours the exit latency.
-	res := m.Access(5*sim.Millisecond, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+	res := access(m, 5*sim.Millisecond, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
 	if res.Issue < ready {
 		t.Errorf("access issued at %v before exit ready %v", res.Issue, ready)
 	}
@@ -509,7 +542,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 				t.Error("access to SR rank did not panic")
 			}
 		}()
-		m.Access(1, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+		access(m, 1, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
 	}()
 	// Double entry panics.
 	func() {
@@ -531,7 +564,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 	}()
 	// Entry with an open page panics.
 	m2 := testModule()
-	m2.Access(0, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
+	access(m2, 0, Address{RowID: RowID{0, 0, 0, 1}, Column: 0}, false)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -541,7 +574,7 @@ func TestSelfRefreshGuards(t *testing.T) {
 		m2.EnterSelfRefresh(sim.Microsecond, 0, 0)
 	}()
 	// The other rank can still operate during rank 0's self-refresh.
-	if res := m.Access(2, Address{RowID: RowID{0, 1, 0, 1}, Column: 0}, false); res.Done == 0 {
+	if res := access(m, 2, Address{RowID: RowID{0, 1, 0, 1}, Column: 0}, false); res.Done == 0 {
 		t.Error("rank 1 blocked by rank 0 self-refresh")
 	}
 }
@@ -558,7 +591,7 @@ func TestSelfRefreshEntryClampedBehindBusyRank(t *testing.T) {
 	const ops = 1000
 	var horizon sim.Time
 	for i := 0; i < ops; i++ {
-		res := m.RefreshNextCBR(0, BankID{Channel: 0, Rank: 0, Bank: 0})
+		res := refreshNextCBR(m, 0, BankID{Channel: 0, Rank: 0, Bank: 0})
 		horizon = res.Done
 	}
 	if horizon < sim.Time(ops)*sim.Time(m.Timing().TRefreshRow) {
@@ -603,7 +636,7 @@ func TestRefreshKindString(t *testing.T) {
 
 func TestAccessLatencyHelper(t *testing.T) {
 	m := testModule()
-	res := m.Access(100, Address{RowID: RowID{0, 0, 0, 0}, Column: 0}, false)
+	res := access(m, 100, Address{RowID: RowID{0, 0, 0, 0}, Column: 0}, false)
 	if res.Latency(100) != res.Done-100 {
 		t.Error("Latency helper wrong")
 	}

@@ -9,7 +9,7 @@ import (
 func TestEnterPowerDownClampsPastBusyBanks(t *testing.T) {
 	m := testModule()
 	a := Address{RowID: RowID{0, 0, 0, 5}, Column: 0}
-	m.Access(0, a, false)
+	access(m, 0, a, false)
 	ready := m.BankReadyAt(BankID{0, 0, 0})
 	if ready <= 0 {
 		t.Fatal("access left no bank busy span")
@@ -68,7 +68,7 @@ func TestEnterPowerDownPanics(t *testing.T) {
 			m.EnterPowerDown(sim.Time(sim.Microsecond), 0, 0, PDPrechargeFast)
 		}},
 		{"precharge with open banks", func(m *Module) {
-			res := m.Access(0, Address{RowID: RowID{0, 0, 0, 5}, Column: 0}, false)
+			res := access(m, 0, Address{RowID: RowID{0, 0, 0, 5}, Column: 0}, false)
 			m.EnterPowerDown(res.Done, 0, 0, PDPrechargeFast)
 		}},
 	}

@@ -50,7 +50,7 @@ func TestRefreshBankWalksCounterAndOccupiesOneBank(t *testing.T) {
 	b0 := BankID{Channel: 0, Rank: 0, Bank: 0}
 	b1 := BankID{Channel: 0, Rank: 0, Bank: 1}
 
-	r1 := m.RefreshBank(0, b0)
+	r1 := refreshBank(m, 0, b0)
 	if r1.Kind != RefreshPerBank {
 		t.Fatalf("kind = %v", r1.Kind)
 	}
@@ -72,7 +72,7 @@ func TestRefreshBankWalksCounterAndOccupiesOneBank(t *testing.T) {
 		t.Errorf("sibling bank ready at %v, want 0", ready)
 	}
 	// The per-bank command walks the same internal counter as CBR.
-	r2 := m.RefreshNextCBR(r1.Done, b0)
+	r2 := refreshNextCBR(m, r1.Done, b0)
 	if r2.Row.Row != 1 {
 		t.Errorf("CBR after REFpb refreshed row %d, want 1", r2.Row.Row)
 	}
@@ -91,9 +91,9 @@ func TestRefreshBankOverlappedKeepsOtherSubarraysServing(t *testing.T) {
 	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
 	// Open a page in a distant subarray (counter is at row 0).
 	far := Address{RowID: RowID{0, 0, 0, m.subRows * 3}, Column: 0}
-	a0 := m.Access(0, far, false)
+	a0 := access(m, 0, far, false)
 
-	ref := m.RefreshBankOverlapped(a0.Done, bank)
+	ref := refreshBankOverlapped(m, a0.Done, bank)
 	if ref.Done <= ref.Issue {
 		t.Fatal("overlapped refresh has no duration")
 	}
@@ -104,7 +104,7 @@ func TestRefreshBankOverlappedKeepsOtherSubarraysServing(t *testing.T) {
 		t.Errorf("open row after overlapped refresh = %d, want %d", got, far.Row)
 	}
 	// A row hit to the open page proceeds while the refresh is in flight.
-	hit := m.Access(ref.Issue, far, false)
+	hit := access(m, ref.Issue, far, false)
 	if !hit.RowHit {
 		t.Error("demand row hit blocked by overlapped refresh")
 	}
@@ -120,19 +120,19 @@ func TestRefreshBankOverlappedKeepsOtherSubarraysServing(t *testing.T) {
 func TestRefreshBankOverlappedBlocksRefreshingSubarray(t *testing.T) {
 	m := testModule()
 	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
-	ref := m.RefreshBankOverlapped(0, bank) // refreshes counter row 0
+	ref := refreshBankOverlapped(m, 0, bank) // refreshes counter row 0
 	// Demand to the refreshing subarray serializes behind the refresh...
 	same := Address{RowID: RowID{0, 0, 0, 1}, Column: 0}
-	r := m.Access(ref.Issue, same, false)
+	r := access(m, ref.Issue, same, false)
 	if r.Issue < ref.Done {
 		t.Errorf("same-subarray access issued at %v, before refresh end %v", r.Issue, ref.Done)
 	}
 
 	m2 := testModule()
-	ref = m2.RefreshBankOverlapped(0, bank)
+	ref = refreshBankOverlapped(m2, 0, bank)
 	// ...while demand to another subarray starts underneath it.
 	other := Address{RowID: RowID{0, 0, 0, m2.subRows * 5}, Column: 0}
-	r = m2.Access(ref.Issue, other, false)
+	r = access(m2, ref.Issue, other, false)
 	if r.Issue >= ref.Done {
 		t.Errorf("other-subarray access issued at %v, after refresh end %v", r.Issue, ref.Done)
 	}
@@ -142,9 +142,9 @@ func TestRefreshBankOverlappedSameSubarrayConflictClosesPage(t *testing.T) {
 	m := testModule()
 	bank := BankID{Channel: 0, Rank: 0, Bank: 0}
 	near := Address{RowID: RowID{0, 0, 0, 1}, Column: 0} // same subarray as counter row 0
-	a0 := m.Access(0, near, false)
+	a0 := access(m, 0, near, false)
 
-	ref := m.RefreshBankOverlapped(a0.Done, bank)
+	ref := refreshBankOverlapped(m, a0.Done, bank)
 	if !ref.ClosedOpenRow || ref.ClosedRow != near.RowID {
 		t.Errorf("same-subarray overlap did not close the page: %+v", ref)
 	}
@@ -161,7 +161,7 @@ func TestRefreshAllBanksFreezesRankAndWalksEveryCounter(t *testing.T) {
 	g := m.Geometry()
 	// Open a page in bank 2 to exercise the conflict path.
 	open := Address{RowID: RowID{0, 0, 2, 7}, Column: 0}
-	a0 := m.Access(0, open, false)
+	a0 := access(m, 0, open, false)
 
 	results := m.RefreshAllBanks(a0.Done, 0, 0)
 	if len(results) != g.Banks {

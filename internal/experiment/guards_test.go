@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
+	"smartrefresh/internal/config"
 	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
@@ -101,5 +105,65 @@ func TestRunPairOnRealStreamIsFinite(t *testing.T) {
 	finitePair(t, pm)
 	if pm.RefreshReductionPct <= 0 {
 		t.Errorf("expected a refresh reduction, got %v%%", pm.RefreshReductionPct)
+	}
+}
+
+func TestRunOptionsEnd(t *testing.T) {
+	ms := sim.Millisecond
+	cases := []struct {
+		name            string
+		warmup, measure sim.Duration
+		want            sim.Time
+		ok              bool
+	}{
+		{"default-sized", 64 * ms, 256 * ms, 320 * ms, true},
+		{"empty", 0, 0, 0, true},
+		{"largest end", math.MaxInt64 - ms, ms, math.MaxInt64, true},
+		{"one past the largest end", math.MaxInt64 - ms + 1, ms, 0, false},
+		{"both parts in range, sum past it", 9223372036 * ms, ms, 0, false},
+		{"negative warmup", -ms, ms, 0, false},
+		{"negative measure", ms, -ms, 0, false},
+	}
+	for _, tc := range cases {
+		end, err := RunOptions{Warmup: tc.warmup, Measure: tc.measure}.End()
+		if tc.ok && (err != nil || end != tc.want) {
+			t.Errorf("%s: End() = %v, %v; want %v, nil", tc.name, end, err, tc.want)
+		}
+		if !tc.ok && !errors.Is(err, ErrRunWindow) {
+			t.Errorf("%s: End() = %v, %v; want ErrRunWindow", tc.name, end, err)
+		}
+	}
+}
+
+// An invalid run window is an error from every entry point, returned
+// before any controller is built. The deadline keeps a regression
+// failing instead of hanging: a wrapped window end once sent the warmup
+// snapshot draining refresh ticks towards the end of time.
+func TestRunRejectsInvalidWindow(t *testing.T) {
+	ms := sim.Millisecond
+	windows := []RunOptions{
+		{Warmup: 9223372036 * ms, Measure: ms},
+		{Warmup: -ms, Measure: ms},
+		{Warmup: ms, Measure: -ms},
+	}
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []config.DRAM{config.Table1_2GB(), config.HMC8Vault()} {
+		for _, opts := range windows {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			_, err := RunContext(ctx, cfg, prof, PolicySmart, opts)
+			cancel()
+			if !errors.Is(err, ErrRunWindow) {
+				t.Errorf("%s, warmup %v, measure %v: RunContext error %v, want ErrRunWindow",
+					cfg.Name, opts.Warmup, opts.Measure, err)
+			}
+			res := NewEngine(1).RunJobs([]Job{{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts}})[0]
+			if !errors.Is(res.Err, ErrRunWindow) {
+				t.Errorf("%s, warmup %v, measure %v: RunJobs error %v, want ErrRunWindow",
+					cfg.Name, opts.Warmup, opts.Measure, res.Err)
+			}
+		}
 	}
 }

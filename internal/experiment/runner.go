@@ -6,7 +6,9 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"smartrefresh/internal/cache"
 	"smartrefresh/internal/config"
@@ -118,6 +120,24 @@ func (o RunOptions) withDefaults(interval sim.Duration) RunOptions {
 		o.Measure = 4 * interval
 	}
 	return o
+}
+
+// ErrRunWindow reports a run window that cannot be simulated: a negative
+// Warmup or Measure, or a Warmup+Measure end past the int64 picosecond
+// range.
+var ErrRunWindow = errors.New("experiment: invalid run window")
+
+// End returns the end of the run window, Warmup+Measure. It is the one
+// check of the window: a negative part, or a sum past the int64
+// picosecond range, is an ErrRunWindow instead of an end that wraps.
+func (o RunOptions) End() (sim.Time, error) {
+	switch {
+	case o.Warmup < 0 || o.Measure < 0:
+		return 0, fmt.Errorf("%w: warmup %v and measure %v must not be negative", ErrRunWindow, o.Warmup, o.Measure)
+	case o.Warmup > math.MaxInt64-o.Measure:
+		return 0, fmt.Errorf("%w: warmup %v + measure %v overflows int64 picoseconds", ErrRunWindow, o.Warmup, o.Measure)
+	}
+	return o.Warmup + o.Measure, nil
 }
 
 // RetentionSlack is the deadline widening the retention checker grants a
@@ -238,16 +258,19 @@ type runJob struct {
 // memctrl.Options.Interrupt — so cancellation latency is bounded even on
 // idle streams where the final Finish drains a whole measurement window
 // of refresh ticks. A non-nil error means the partial result was
-// discarded; the returned RunResult is then zero.
+// discarded; the returned RunResult is then zero. An invalid run window
+// is rejected before any controller is built.
 func execute(ctx context.Context, j runJob) (RunResult, error) {
+	end, err := j.opts.End()
+	if err != nil {
+		return RunResult{}, err
+	}
 	if j.cfg.Geometry.Vaulted() {
-		return executeVaulted(ctx, j)
+		return executeVaulted(ctx, j, end)
 	}
 	opts := j.opts
 	mcOpts, cancelled := jobSetup(ctx, j)
 	ctl := memctrl.MustNew(j.cfg, j.policy, mcOpts)
-
-	end := opts.Warmup + opts.Measure
 
 	var front *cache.DRAMCache
 	if opts.Stacked {
@@ -370,7 +393,7 @@ func jobSetup(ctx context.Context, j runJob) (memctrl.Options, func() error) {
 // their own warm state); the measured window is derived per vault and
 // folded in vault index order into the stack-level Results, exactly as
 // VaultArray.Results folds whole-run summaries.
-func executeVaulted(ctx context.Context, j runJob) (RunResult, error) {
+func executeVaulted(ctx context.Context, j runJob, end sim.Time) (RunResult, error) {
 	opts := j.opts
 	if j.retMap != nil {
 		// A per-row retention map is indexed against the monolithic
@@ -391,7 +414,6 @@ func executeVaulted(ctx context.Context, j runJob) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: %w", j.cfg.Name, j.benchmark, j.kind, err)
 	}
 
-	end := opts.Warmup + opts.Measure
 	epoch := j.cfg.RefreshInterval() / 4
 
 	var front *cache.DRAMCache

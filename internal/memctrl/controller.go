@@ -111,6 +111,7 @@ type Controller struct {
 
 	checker *core.RetentionChecker
 	cmds    []core.Command
+	refRes  dram.RefreshResult // filled in place by every refresh command
 
 	latency     stats.Sample
 	latencyHist *stats.Histogram
@@ -124,9 +125,9 @@ type Controller struct {
 	// per-request rank and flat-bank index arithmetic.
 	nRanks, nBanks int
 
-	idleClose   sim.Duration // page-close timeout (<0: never)
-	bankLastUse []sim.Time   // per flat bank: last demand activity
-	idleq       idleHeap     // lazy heap of candidate page-close deadlines
+	idleClose sim.Duration // page-close timeout (<0: never)
+	banks     []bankIdle   // per flat bank: last activity and heap membership
+	idleq     idleHeap     // at most one page-close entry per bank
 
 	// ps is the per-rank power-state machine (self-refresh is its
 	// deepest rung); armed when SelfRefreshAfter or any PowerStates
@@ -171,7 +172,7 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		nRanks:      cfg.Geometry.Ranks,
 		nBanks:      cfg.Geometry.Banks,
 		idleClose:   idleClose,
-		bankLastUse: make([]sim.Time, cfg.Geometry.TotalBanks()),
+		banks:       make([]bankIdle, cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
 	}
 	if ba, ok := policy.(core.BankAware); ok {
@@ -313,22 +314,31 @@ func (c *Controller) refreshRestore(t sim.Time, row dram.RowID) {
 	}
 }
 
-// idleEntry is one candidate page-close deadline: bank flat was last used
-// at at-idleClose, so its page should close at at (if still open and not
-// touched since).
+// bankIdle is one bank's idle-close state: lastUse is its latest demand
+// activity (or the deadline at which its page was last idle-closed), and
+// queued records that the bank has an entry in idleq.
+type bankIdle struct {
+	lastUse sim.Time
+	queued  bool
+}
+
+// idleEntry is one bank's page-close heap entry: bank flat's page closes
+// at at, unless it was touched since (then at is a stale lower bound).
 type idleEntry struct {
 	at   sim.Time
 	flat int32
 }
 
 // idleHeap is a binary min-heap of idleEntry ordered by (at, flat) — the
-// same order the old linear bank scan produced (strictly-smaller deadline
-// wins; ties go to the lowest flat index), so close order and tie-breaks
-// are bit-identical. Entries are invalidated lazily: a demand access that
-// touches the bank, or anything that precharges it, makes the entry stale,
-// and stale entries are discarded when they surface at the heap head. The
-// heap holds at most one valid entry per open bank (the one matching the
-// bank's latest bankLastUse), so peeking pops at most O(stale) entries.
+// order of a linear scan over open banks (strictly-smaller deadline wins;
+// ties go to the lowest flat index). It holds at most one entry per bank.
+// A bank's deadline, lastUse+idleClose, never decreases while its entry is
+// queued (demand completions on a bank are monotone, and an idle close
+// sets lastUse to the deadline it fired at), so every key is a lower bound
+// of its bank's current deadline. nextIdleClose raises a stale head key to
+// the bank's deadline and sifts it down instead of popping and pushing a
+// new entry; the head it returns therefore carries the minimum current
+// deadline, with the scan's tie-break.
 type idleHeap []idleEntry
 
 func (h idleHeap) less(i, j int) bool {
@@ -350,14 +360,9 @@ func (h *idleHeap) push(e idleEntry) {
 	}
 }
 
-// popHead removes the minimum entry.
-func (h *idleHeap) popHead() {
-	hh := *h
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	// Sift down.
+// down sifts the head entry into place after its key grew.
+func (h idleHeap) down() {
+	n := len(h)
 	i := 0
 	for {
 		j1 := 2*i + 1
@@ -365,41 +370,57 @@ func (h *idleHeap) popHead() {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && hh.less(j2, j1) {
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
 			j = j2 // right child
 		}
-		if !hh.less(j, i) {
+		if !h.less(j, i) {
 			break
 		}
-		hh[i], hh[j] = hh[j], hh[i]
+		h[i], h[j] = h[j], h[i]
 		i = j
 	}
 }
 
-// armIdleClose schedules bank flat's page-close deadline from its latest
-// demand activity. Called on every demand completion; superseded entries
-// for the same bank die lazily in nextIdleClose.
+// popHead removes the minimum entry.
+func (h *idleHeap) popHead() {
+	hh := *h
+	n := len(hh) - 1
+	hh[0] = hh[n]
+	*h = hh[:n]
+	h.down()
+}
+
+// armIdleClose makes sure bank flat, just touched by demand, has a
+// page-close entry. A bank that already has one keeps it: its key is a
+// lower bound of the new deadline, and nextIdleClose re-keys it when it
+// reaches the head.
 func (c *Controller) armIdleClose(flat int) {
-	if c.idleClose < 0 {
+	if c.idleClose < 0 || c.banks[flat].queued {
 		return
 	}
-	c.idleq.push(idleEntry{at: c.bankLastUse[flat] + c.idleClose, flat: int32(flat)})
+	c.banks[flat].queued = true
+	c.idleq.push(idleEntry{at: c.banks[flat].lastUse + c.idleClose, flat: int32(flat)})
 }
 
 // nextIdleClose returns the earliest pending page-close deadline across
-// banks with an open page, or ok=false when none is pending. An entry is
-// current only if its bank still has an open page and its deadline matches
-// the bank's latest activity; anything else is a superseded remnant and is
-// dropped here.
+// banks with an open page, or ok=false when none is pending. A head entry
+// whose bank has no open page leaves the heap; one whose key is older
+// than the bank's deadline is re-keyed and sifted down.
 func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 	if c.idleClose < 0 {
 		return 0, 0, false
 	}
 	for len(c.idleq) > 0 {
-		e := c.idleq[0]
+		e := &c.idleq[0]
 		flat := int(e.flat)
-		if c.module.OpenRowFlat(flat) == -1 || e.at != c.bankLastUse[flat]+c.idleClose {
+		if c.module.OpenRowFlat(flat) == -1 {
+			c.banks[flat].queued = false
 			c.idleq.popHead()
+			continue
+		}
+		if at := c.banks[flat].lastUse + c.idleClose; e.at != at {
+			e.at = at
+			c.idleq.down()
 			continue
 		}
 		return e.at, flat, true
@@ -424,11 +445,11 @@ func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
 			c.trace.Command(telemetry.CmdIdleClose, flat, row.Row, deadline, deadline+c.cfg.Timing.TRP)
 		}
 		// Re-arm only on an actual close: the bank stays precharged until
-		// the next demand access refreshes bankLastUse. Re-arming when the
+		// the next demand access refreshes lastUse. Re-arming when the
 		// module reports not-closed would invent a future deadline for a
 		// bank that was already closed (e.g. by a conflicting refresh) and
 		// could mask its rank's self-refresh idleness.
-		c.bankLastUse[flat] = deadline
+		c.banks[flat].lastUse = deadline
 	}
 }
 
@@ -453,16 +474,16 @@ func (c *Controller) runRefreshTick(due sim.Time) {
 				c.exitPowerDown(due, cmd.Bank.Channel, cmd.Bank.Rank, false)
 			}
 		}
-		var res dram.RefreshResult
+		res := &c.refRes
 		switch {
 		case cmd.Kind == dram.RefreshPerBank && cmd.Overlap:
-			res = c.module.RefreshBankOverlapped(due, cmd.Bank)
+			c.module.RefreshBankOverlapped(due, cmd.Bank, res)
 		case cmd.Kind == dram.RefreshPerBank:
-			res = c.module.RefreshBank(due, cmd.Bank)
+			c.module.RefreshBank(due, cmd.Bank, res)
 		case cmd.Row >= 0:
-			res = c.module.RefreshRow(due, cmd.RowID())
+			c.module.RefreshRow(due, cmd.RowID(), res)
 		default:
-			res = c.module.RefreshNextCBR(due, cmd.Bank)
+			c.module.RefreshNextCBR(due, cmd.Bank, res)
 		}
 		if res.ClosedOpenRow {
 			// Closing the open page restored that row too.
@@ -515,8 +536,9 @@ func (c *Controller) drainRefreshes(t sim.Time) {
 
 // Submit processes one demand request. Requests must be presented in
 // nondecreasing time order; Submit panics otherwise, because out-of-order
-// submission corrupts every statistic downstream.
-func (c *Controller) Submit(req Request) dram.AccessResult {
+// submission corrupts every statistic downstream. The module fills the
+// named result in place.
+func (c *Controller) Submit(req Request) (res dram.AccessResult) {
 	if req.Time < c.now {
 		panic(fmt.Sprintf("memctrl: request at %v before controller time %v", req.Time, c.now))
 	}
@@ -535,9 +557,9 @@ func (c *Controller) Submit(req Request) dram.AccessResult {
 	if c.ps.armed {
 		c.wakeRank(req.Time, addr.Channel, addr.Rank)
 	}
-	res := c.module.Access(req.Time, addr, req.Write)
+	c.module.Access(req.Time, addr, req.Write, &res)
 	flat := (addr.Channel*c.nRanks+addr.Rank)*c.nBanks + addr.Bank
-	c.bankLastUse[flat] = res.Done
+	c.banks[flat].lastUse = res.Done
 	c.armIdleClose(flat)
 	c.noteDemand(res.Done, addr.Channel, addr.Rank)
 
