@@ -2,6 +2,14 @@
 // refresh policy, and either a synthetic benchmark workload or a trace
 // stream, printing refresh, energy and latency results.
 //
+// A benchmark run is one experiment.Job on the simulation engine, for
+// every policy: each reports the same measured window (-measure-ms after
+// -warmup-ms of warmup), and each goes through the 3D-cache front end on
+// the table2 presets and through the vault array on vaulted ones. raidr
+// and smart-retention are programmed from a retention map profiled from
+// the benchmark seed, so they run neither on vaulted presets nor on a
+// -trace replay.
+//
 // Trace replay is streaming: the input may be binary or text, plain or
 // gzip-compressed, a file or stdin ("-trace -"), and is decoded with
 // bounded memory — a day-long trace never fits in RAM and never has to.
@@ -126,18 +134,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			SRSlowAfter:     usToDuration(*srSlowUS),
 		},
 	}
-	if *policyName == "smart-retention" {
-		return runRetentionAware(cfg, *benchmark, opts, &tf, stdout)
-	}
-	if *policyName == "raidr" {
-		return runRAIDR(cfg, *benchmark, opts, &tf, stdout)
-	}
 	kind, err := parsePolicy(*policyName)
 	if err != nil {
 		return err
 	}
 
 	if *tracePath != "" {
+		if err := replayable(kind); err != nil {
+			return err
+		}
 		p := replayParams{
 			cfg:       cfg,
 			kind:      kind,
@@ -171,15 +176,42 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 	}
+	job := experiment.Job{Cfg: cfg, Prof: prof, Policy: kind, Opts: opts}
+	var raidr *core.RAIDR
+	switch kind {
+	case experiment.PolicyRAIDR, experiment.PolicySmartRetention:
+		// Both are programmed from a retention map profiled from the
+		// benchmark seed; the retention checker (under -check) verifies
+		// the per-row deadlines of that map.
+		rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
+		job.RetentionMap = rmap
+		if kind == experiment.PolicyRAIDR {
+			job.MakePolicy = func() core.Policy {
+				raidr = core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), core.DefaultRAIDRConfig(), rmap)
+				return raidr
+			}
+		} else {
+			job.Cfg.Smart.SelfDisable = false
+			smart := job.Cfg.Smart
+			job.MakePolicy = func() core.Policy {
+				return core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), smart, rmap)
+			}
+		}
+	}
 	eng := experiment.NewEngine(1)
 	eng.Trace = tf.Tracer()
 	eng.Metrics = tf.Registry()
-	res := eng.RunJobs([]experiment.Job{{Cfg: cfg, Prof: prof, Policy: kind, Opts: opts}})[0]
+	res := eng.RunJobs([]experiment.Job{job})[0]
 	if res.Err != nil {
 		return res.Err
 	}
 	printResults(stdout, cfg, res.Results, opts.Measure, res.RetentionErr)
 	printVaults(stdout, res.Vaults)
+	if raidr != nil {
+		fmt.Fprintf(stdout, "raidr             %.1f%% multirate share, %d KB filter storage, %d bloom lookups, %d false positives\n",
+			100*raidr.RefreshShare(), raidr.FilterSizeBytes()/1024,
+			res.Results.Policy.BloomLookups, res.Results.Policy.BloomFalsePositives)
+	}
 	return tf.Finish()
 }
 
@@ -211,25 +243,25 @@ func presetNames() []string {
 	return names
 }
 
+// parsePolicy resolves a -policy name to its kind; PolicySmartRetention
+// is the last kind.
 func parsePolicy(name string) (experiment.PolicyKind, error) {
-	switch name {
-	case "cbr":
-		return experiment.PolicyCBR, nil
-	case "smart":
-		return experiment.PolicySmart, nil
-	case "burst":
-		return experiment.PolicyBurst, nil
-	case "none":
-		return experiment.PolicyNone, nil
-	case "oracle":
-		return experiment.PolicyOracle, nil
-	case "darp":
-		return experiment.PolicyDARP, nil
-	case "sarp":
-		return experiment.PolicySARP, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
+	for k := experiment.PolicyCBR; k <= experiment.PolicySmartRetention; k++ {
+		if k.String() == name {
+			return k, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
+// replayable rejects the policies trace replay cannot run: raidr and
+// smart-retention are programmed from a retention map profiled from a
+// benchmark seed, which a trace does not have.
+func replayable(kind experiment.PolicyKind) error {
+	if kind == experiment.PolicyRAIDR || kind == experiment.PolicySmartRetention {
+		return fmt.Errorf("policy %s cannot replay a trace (replay supports cbr, smart, burst, none, oracle, darp, sarp)", kind)
+	}
+	return nil
 }
 
 // captureBenchmark records prof's access stream over the run window as
@@ -254,92 +286,6 @@ func captureBenchmark(prof workload.Profile, opts experiment.RunOptions, path st
 		}
 		return bw.Flush()
 	})
-}
-
-// runRetentionAware runs the retention-aware extension policy, which the
-// experiment harness does not cover by PolicyKind.
-func runRetentionAware(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf *telemetry.Flags, stdout io.Writer) error {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		return err
-	}
-	end, err := opts.End()
-	if err != nil {
-		return err
-	}
-	cfg.Smart.SelfDisable = false
-	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
-	policy := core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart, rmap)
-	ctl, err := memctrl.New(cfg, policy, memctrl.Options{
-		CheckRetention:   opts.CheckRetention,
-		RetentionSlack:   experiment.RetentionSlack(cfg, experiment.PolicySmart, opts),
-		RetentionMap:     rmap,
-		SelfRefreshAfter: opts.SelfRefreshAfter,
-		PowerStates:      opts.PowerStates,
-		Trace:            tf.Tracer(),
-		Metrics:          tf.Registry(),
-	})
-	if err != nil {
-		return err
-	}
-	gen := prof.NewSource(opts.Stacked)
-	for {
-		rec, ok := gen.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	ctl.Finish(end)
-	printResults(stdout, cfg, ctl.Results(end), end, ctl.RetentionErr())
-	return tf.Finish()
-}
-
-// runRAIDR runs the multirate Bloom-filter wheel, which the experiment
-// harness does not cover by PolicyKind: the filters are programmed from
-// a profiled retention map derived from the benchmark seed, and the
-// retention checker (under -check) verifies the profiled per-row
-// deadlines.
-func runRAIDR(cfg config.DRAM, benchmark string, opts experiment.RunOptions, tf *telemetry.Flags, stdout io.Writer) error {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		return err
-	}
-	end, err := opts.End()
-	if err != nil {
-		return err
-	}
-	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
-	policy := core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), core.DefaultRAIDRConfig(), rmap)
-	ctl, err := memctrl.New(cfg, policy, memctrl.Options{
-		CheckRetention: opts.CheckRetention,
-		// The wheel keeps CBR's drift-free cadence, so CBR's slack model
-		// applies.
-		RetentionSlack:   experiment.RetentionSlack(cfg, experiment.PolicyCBR, opts),
-		RetentionMap:     rmap,
-		SelfRefreshAfter: opts.SelfRefreshAfter,
-		PowerStates:      opts.PowerStates,
-		Trace:            tf.Tracer(),
-		Metrics:          tf.Registry(),
-	})
-	if err != nil {
-		return err
-	}
-	gen := prof.NewSource(opts.Stacked)
-	for {
-		rec, ok := gen.Next()
-		if !ok || rec.Time >= end {
-			break
-		}
-		ctl.Submit(memctrl.Request{Time: rec.Time, Addr: rec.Addr, Write: rec.Write})
-	}
-	ctl.Finish(end)
-	res := ctl.Results(end)
-	printResults(stdout, cfg, res, end, ctl.RetentionErr())
-	fmt.Fprintf(stdout, "raidr             %.1f%% multirate share, %d KB filter storage, %d bloom lookups, %d false positives\n",
-		100*policy.RefreshShare(), policy.FilterSizeBytes()/1024,
-		res.Policy.BloomLookups, res.Policy.BloomFalsePositives)
-	return tf.Finish()
 }
 
 // replayParams configure one streaming trace replay.

@@ -78,13 +78,81 @@ func TestRunStackedConfig(t *testing.T) {
 	}
 }
 
-func TestRunRetentionAwarePolicy(t *testing.T) {
-	err := runQuiet(t,
-		"-config", "table1-2gb", "-policy", "smart-retention", "-benchmark", "gcc",
-		"-warmup-ms", "16", "-measure-ms", "16",
-	)
-	if err != nil {
-		t.Fatal(err)
+// TestRunRetentionPolicies: raidr and smart-retention run as engine jobs,
+// so they report the measured window only, like every other policy.
+func TestRunRetentionPolicies(t *testing.T) {
+	for _, policy := range []string{"raidr", "smart-retention"} {
+		var out bytes.Buffer
+		err := run([]string{
+			"-config", "table1-2gb", "-policy", policy, "-benchmark", "gcc",
+			"-warmup-ms", "16", "-measure-ms", "8",
+		}, strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if !strings.Contains(out.String(), "window            8ms\n") {
+			t.Errorf("%s does not report the 8ms measured window:\n%s", policy, out.String())
+		}
+		if got := strings.Contains(out.String(), "bloom lookups"); got != (policy == "raidr") {
+			t.Errorf("%s: raidr Bloom line printed = %v", policy, got)
+		}
+	}
+}
+
+// TestRetentionPolicyCaptureMatchesSmart: -capture records the benchmark
+// stream, which does not depend on the policy, so raidr and
+// smart-retention write the bytes smart writes.
+func TestRetentionPolicyCaptureMatchesSmart(t *testing.T) {
+	dir := t.TempDir()
+	capture := func(policy string) []byte {
+		path := filepath.Join(dir, policy+".trc")
+		err := runQuiet(t,
+			"-config", "table1-2gb", "-policy", policy, "-benchmark", "gcc",
+			"-warmup-ms", "2", "-measure-ms", "2", "-capture", path,
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		return b
+	}
+	want := capture("smart")
+	if len(want) == 0 {
+		t.Fatal("smart capture is empty")
+	}
+	for _, policy := range []string{"raidr", "smart-retention"} {
+		if got := capture(policy); !bytes.Equal(got, want) {
+			t.Errorf("%s capture differs from smart's: %d vs %d bytes", policy, len(got), len(want))
+		}
+	}
+}
+
+// TestRetentionPolicyRejections: raidr and smart-retention are
+// programmed from a retention map profiled from a benchmark seed. A trace
+// has no seed, so -trace is an error naming the policies replay
+// supports; the map is indexed against the monolithic geometry, so a
+// vaulted preset is the engine's error, not a silent monolithic run.
+func TestRetentionPolicyRejections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trc")
+	writeBinaryTrace(t, path, testTraceRecords(t, 1))
+	const replay = "replay supports cbr, smart, burst, none, oracle, darp, sarp"
+	const vaulted = "per-row retention maps are not supported on vaulted geometries"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "raidr", "-trace", path}, replay},
+		{[]string{"-policy", "smart-retention", "-trace", path}, replay},
+		{[]string{"-policy", "raidr", "-config", "hmc-8vault"}, vaulted},
+		{[]string{"-policy", "smart-retention", "-config", "hmc-8vault"}, vaulted},
+	} {
+		args := append([]string{"-warmup-ms", "1", "-measure-ms", "1"}, c.args...)
+		if err := runQuiet(t, args...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want it to contain %q", c.args, err, c.want)
+		}
 	}
 }
 
@@ -571,6 +639,8 @@ func TestServerRejectsBadParams(t *testing.T) {
 	for _, url := range []string{
 		"/replay?config=nope",
 		"/replay?policy=nope",
+		"/replay?policy=raidr",
+		"/replay?policy=smart-retention",
 		"/replay?snapshot-ms=x",
 		"/replay?snapshot-ms=-1",
 		"/replay?snapshot-ms=9223372037",

@@ -90,6 +90,9 @@ func handleReplay(w http.ResponseWriter, r *http.Request) {
 		policyName = "smart"
 	}
 	kind, err := parsePolicy(policyName)
+	if err == nil {
+		err = replayable(kind)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

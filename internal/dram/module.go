@@ -29,7 +29,9 @@ const (
 	RefreshPerBank
 	// RefreshAllBank is the conventional all-bank refresh command
 	// (REFab): one counter row per bank, every bank of the rank frozen
-	// for tRFCab. It exists as the contrast case for REFpb.
+	// for tRFCab. No policy issues it and the module has no command path
+	// for it; the kind and ModuleStats.RefreshAllBankOps keep the stats
+	// schema and the refresh-op decomposition in their full form.
 	RefreshAllBank
 )
 
@@ -688,56 +690,6 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID, res *RefreshResu
 		m.trace.Command(telemetry.CmdRefreshPB, bi, row.Row, start, done)
 	}
 	m.observe(done)
-}
-
-// RefreshAllBanks performs one all-bank refresh (REFab) on a rank: every
-// bank's counter row is restored, and the whole rank is frozen for
-// Timing.AllBankRefreshDuration. Open pages are closed first (each a
-// conflict refresh). Results are returned in bank order.
-func (m *Module) RefreshAllBanks(t sim.Time, channel, rank int) []RefreshResult {
-	ri := m.rankIndex(channel, rank)
-	if m.ranks[ri].inSelfRefresh {
-		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", channel, rank))
-	}
-	m.observe(t)
-	results := make([]RefreshResult, m.geom.Banks)
-
-	// Close any open pages and find when the whole rank is quiet.
-	start := t
-	for bk := 0; bk < m.geom.Banks; bk++ {
-		bi := ri*m.nBanks + bk
-		b := &m.banks[bi]
-		res := &results[bk]
-		res.Kind = RefreshAllBank
-		res.Issue = m.clk.Next(sim.Max(t, b.readyAt))
-		if b.openRow != -1 {
-			start = sim.Max(start, m.refreshClose(res, bi, RowID{Channel: channel, Rank: rank, Bank: bk}, res.Issue))
-		}
-		start = sim.Max(start, sim.Max(res.Issue, b.activateOKAt))
-	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
-	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + m.tim.AllBankRefreshDuration(m.geom.Banks))
-
-	for bk := 0; bk < m.geom.Banks; bk++ {
-		bi := ri*m.nBanks + bk
-		b := &m.banks[bi]
-		row := m.nextCounterRow(BankID{Channel: channel, Rank: rank, Bank: bk})
-		results[bk].Row = row
-		results[bk].Done = done
-		m.openBank(b, ri, row.Row, start)
-		m.closeBank(b, ri, done)
-		b.readyAt = done
-		b.activateOKAt = sim.Max(b.activateOKAt, start+m.tim.TRC)
-		b.prechargeOKAt = done
-		m.stats.RefreshOps++
-		if m.trace != nil {
-			m.trace.Command(telemetry.CmdRefreshAB, bi, row.Row, start, done)
-		}
-	}
-	m.stats.RefreshAllBankOps++
-	m.observe(done)
-	return results
 }
 
 // refreshClose closes flat bank bi's open page ahead of a refresh of a

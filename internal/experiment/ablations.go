@@ -334,11 +334,10 @@ func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []
 	cfg.Smart.SelfDisable = false
 	rmap := core.NewRetentionMap(cfg.Geometry, core.DefaultRetentionClasses(), prof.Seed())
 
-	names := []string{"cbr", "smart", "smart-retention"}
 	res := eng.RunJobs([]Job{
 		{Cfg: cfg, Prof: prof, Policy: PolicyCBR, Opts: opts},
 		{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts},
-		{Cfg: cfg, Prof: prof, Policy: PolicySmart, Opts: opts, MakePolicy: func() core.Policy {
+		{Cfg: cfg, Prof: prof, Policy: PolicySmartRetention, Opts: opts, MakePolicy: func() core.Policy {
 			return core.NewRetentionAwareSmart(cfg.Geometry, cfg.RefreshInterval(), cfg.Smart, rmap)
 		}},
 	})
@@ -346,7 +345,7 @@ func RetentionAwareStudy(eng *Engine, prof workload.Profile, opts RunOptions) []
 	out := make([]RetentionAwarePoint, len(res))
 	for i, r := range res {
 		out[i] = RetentionAwarePoint{
-			Policy:          names[i],
+			Policy:          r.Policy.String(),
 			RefreshOps:      r.Results.Module.RefreshOps,
 			RefreshEnergyMJ: r.Results.Energy.RefreshRelated().Millijoules(),
 			TotalEnergyMJ:   r.Results.Energy.Total().Millijoules(),

@@ -73,9 +73,10 @@ type Job struct {
 	Prof   workload.Profile
 	Policy PolicyKind
 	Opts   RunOptions
-	// MakePolicy, when non-nil, overrides the Policy kind's constructor
-	// (e.g. the retention-aware study's non-standard policy); Policy is
-	// then only a label.
+	// MakePolicy, when non-nil, overrides the Policy kind's constructor.
+	// It is required for the kinds NewPolicy cannot build (PolicyRAIDR,
+	// PolicySmartRetention); Policy then names the run and selects its
+	// retention slack.
 	MakePolicy func() core.Policy
 	// MakeSource, when non-nil, overrides the profile's access stream.
 	MakeSource func() trace.Source
@@ -399,26 +400,25 @@ func (e *Engine) runJob(ctx context.Context, job Job) RunResult {
 }
 
 func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
+	failed := func(err error) RunResult {
+		return RunResult{Benchmark: job.Prof.Name, Policy: job.Policy, Config: job.Cfg.Name, Err: err}
+	}
 	if err := ctx.Err(); err != nil {
-		return RunResult{
-			Benchmark: job.Prof.Name,
-			Policy:    job.Policy,
-			Config:    job.Cfg.Name,
-			Err:       err,
-		}
+		return failed(err)
 	}
 	opts := job.Opts.withDefaults(job.Cfg.RefreshInterval())
 	vaulted := job.Cfg.Geometry.Vaulted()
-	if vaulted && job.MakePolicy != nil {
-		// One policy instance cannot be distributed across vaults; the
-		// vaulted path constructs per-vault policies from the kind.
-		return RunResult{
-			Benchmark: job.Prof.Name,
-			Policy:    job.Policy,
-			Config:    job.Cfg.Name,
-			Err: fmt.Errorf("experiment: job %s/%s/%s: MakePolicy overrides are not supported on vaulted geometries",
-				job.Cfg.Name, job.Prof.Name, job.Policy),
+	if vaulted && (job.RetentionMap != nil || job.MakePolicy != nil) {
+		// The vaulted path constructs per-vault policies from the kind:
+		// one policy instance cannot be distributed across vaults, and a
+		// per-row retention map is indexed against the monolithic
+		// geometry (reslicing it per vault is future work).
+		what := "MakePolicy overrides are"
+		if job.RetentionMap != nil {
+			what = "per-row retention maps are"
 		}
+		return failed(fmt.Errorf("experiment: job %s/%s/%s: %s not supported on vaulted geometries",
+			job.Cfg.Name, job.Prof.Name, job.Policy, what))
 	}
 	policy := job.MakePolicy
 	if policy == nil {
@@ -450,13 +450,8 @@ func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
 		// job in the batch; it reports through RunResult.Err instead.
 		defer func() {
 			if r := recover(); r != nil {
-				res = RunResult{
-					Benchmark: job.Prof.Name,
-					Policy:    job.Policy,
-					Config:    job.Cfg.Name,
-					Err: fmt.Errorf("experiment: job %s/%s/%s panicked: %v",
-						job.Cfg.Name, job.Prof.Name, job.Policy, r),
-				}
+				res = failed(fmt.Errorf("experiment: job %s/%s/%s panicked: %v",
+					job.Cfg.Name, job.Prof.Name, job.Policy, r))
 			}
 		}()
 		j := runJob{
@@ -475,12 +470,7 @@ func (e *Engine) runJobOnce(ctx context.Context, job Job) RunResult {
 		var err error
 		res, err = execute(jobCtx, j)
 		if err != nil {
-			res = RunResult{
-				Benchmark: job.Prof.Name,
-				Policy:    job.Policy,
-				Config:    job.Cfg.Name,
-				Err:       err,
-			}
+			res = failed(err)
 		}
 	}()
 	wall := time.Since(start)

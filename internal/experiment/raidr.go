@@ -92,9 +92,7 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			analysis := core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), rcfg, profMap)
 			points = append(points, point{bins: bins, profErr: pe, profMap: profMap, analysis: analysis, injected: injected})
 			jobs = append(jobs, Job{
-				// PolicyCBR is a label: raidr is demand-oblivious and
-				// wheel-shaped like CBR, so it shares CBR's slack model.
-				Cfg: cfg, Prof: prof, Policy: PolicyCBR, Opts: opts,
+				Cfg: cfg, Prof: prof, Policy: PolicyRAIDR, Opts: opts,
 				RetentionMap: profMap,
 				MakePolicy: func() core.Policy {
 					return core.NewRAIDR(cfg.Geometry, cfg.RefreshInterval(), rcfg, profMap)
@@ -108,7 +106,7 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 	for i, r := range res {
 		p := points[i]
 		out[i] = RAIDRPoint{
-			Policy:          "raidr",
+			Policy:          r.Policy.String(),
 			Bins:            p.bins,
 			ProfileError:    p.profErr,
 			VRTFlipFraction: vrt.FlipFraction,
@@ -119,7 +117,6 @@ func RAIDRStudy(eng *Engine, prof workload.Profile, binCounts []int, profileErro
 			TotalRows:       cfg.Geometry.TotalRows(),
 		}
 		if p.analysis == nil {
-			out[i].Policy = "cbr"
 			out[i].VRTFlipFraction = 0
 			continue
 		}

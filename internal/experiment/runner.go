@@ -15,6 +15,7 @@ import (
 	"smartrefresh/internal/core"
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/memctrl"
+	"smartrefresh/internal/power"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/telemetry"
 	"smartrefresh/internal/trace"
@@ -33,6 +34,12 @@ const (
 	PolicyOracle
 	PolicyDARP
 	PolicySARP
+	// PolicyRAIDR and PolicySmartRetention are programmed from a per-row
+	// retention map, which NewPolicy cannot derive from a configuration
+	// alone: their jobs supply the policy through Job.MakePolicy and the
+	// map through Job.RetentionMap.
+	PolicyRAIDR
+	PolicySmartRetention
 )
 
 // String names the policy kind.
@@ -52,6 +59,10 @@ func (k PolicyKind) String() string {
 		return "darp"
 	case PolicySARP:
 		return "sarp"
+	case PolicyRAIDR:
+		return "raidr"
+	case PolicySmartRetention:
+		return "smart-retention"
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
@@ -76,7 +87,9 @@ func NewPolicy(cfg config.DRAM, kind PolicyKind) core.Policy {
 	case PolicySARP:
 		return core.NewSARP(cfg.Geometry, interval, core.DefaultPerBankConfig())
 	default:
-		panic(fmt.Sprintf("experiment: unknown policy kind %d", int(kind)))
+		// Includes PolicyRAIDR and PolicySmartRetention, whose jobs
+		// supply the policy through Job.MakePolicy.
+		panic(fmt.Sprintf("experiment: NewPolicy cannot build policy kind %v", kind))
 	}
 }
 
@@ -158,7 +171,9 @@ func RetentionSlack(cfg config.DRAM, kind PolicyKind, opts RunOptions) sim.Durat
 	pbSlot := interval / sim.Duration(cfg.Geometry.Rows)
 	pb := core.DefaultPerBankConfig()
 	switch kind {
-	case PolicySmart:
+	case PolicyCBR, PolicyRAIDR:
+		// The raidr wheel keeps CBR's drift-free cadence: base slack only.
+	case PolicySmart, PolicySmartRetention:
 		slack += 2 * serial
 		if cfg.Smart.SelfDisable {
 			slack += 2 * interval
@@ -277,14 +292,11 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 		front = cache.NewDRAMCache(config.Table2_3DCache())
 	}
 
-	var warmModule, warmPolicy = ctl.Module().Stats(), j.policy.Stats()
-	var warmDroppedSR uint64
+	var warm warmState
 	warmed := false
 	takeWarmupSnapshot := func(t sim.Time) {
 		ctl.AdvanceTo(t)
-		ctl.Module().Finalize(t)
-		warmModule, warmPolicy = ctl.Module().Stats(), j.policy.Stats()
-		warmDroppedSR = ctl.RefreshesDroppedSelfRefresh()
+		warm = snapshotWarm(ctl, t)
 		warmed = true
 	}
 	submit := func(t sim.Time, addr uint64, write bool) {
@@ -327,27 +339,53 @@ func execute(ctx context.Context, j runJob) (RunResult, error) {
 		return RunResult{}, err
 	}
 
-	full := ctl.Results(end)
-	full.Module = full.Module.Sub(warmModule)
-	full.Policy = full.Policy.Sub(warmPolicy)
-	full.RefreshesDroppedSelfRefresh -= warmDroppedSR
-	full.Energy = j.cfg.Power.Evaluate(full.Module, full.Policy)
-	full.RefreshOps = full.Module.RefreshOps
-	full.RefreshCBR = full.Module.RefreshCBROps
-	full.RefreshRASOnly = full.Module.RefreshRASOnlyOps
-	full.DemandStall = full.Module.DemandStall
-	if opts.Measure > 0 {
-		full.RefreshPerSecond = float64(full.Module.RefreshOps) / opts.Measure.Seconds()
-	}
+	return j.result(warm.measure(ctl, j.cfg.Power, end, opts.Measure), nil, ctl.RetentionErr()), nil
+}
 
+// warmState is one controller's cumulative counters at the warmup
+// boundary; a run's measured window is its end state minus this.
+type warmState struct {
+	module    dram.ModuleStats
+	policy    core.PolicyStats
+	droppedSR uint64
+}
+
+// snapshotWarm finalises ctl's module at t, which the controller has
+// already been advanced to, and records its warm state.
+func snapshotWarm(ctl *memctrl.Controller, t sim.Time) warmState {
+	ctl.Module().Finalize(t)
+	return warmState{
+		module:    ctl.Module().Stats(),
+		policy:    ctl.Policy().Stats(),
+		droppedSR: ctl.RefreshesDroppedSelfRefresh(),
+	}
+}
+
+// measure is the measured-window fold: ctl's results at end with the
+// warm state subtracted, energy re-evaluated over the window under pm,
+// and the mirrored counters derived over window. Requests, row hits and
+// the latency figures stay whole-run, as they always have.
+func (w warmState) measure(ctl *memctrl.Controller, pm power.Model, end sim.Time, window sim.Duration) memctrl.Results {
+	r := ctl.Results(end)
+	r.Module = r.Module.Sub(w.module)
+	r.Policy = r.Policy.Sub(w.policy)
+	r.RefreshesDroppedSelfRefresh -= w.droppedSR
+	r.Energy = pm.Evaluate(r.Module, r.Policy)
+	r.DeriveCounters(window)
+	return r
+}
+
+// result labels a measured window with the job's identity.
+func (j runJob) result(res memctrl.Results, vaults []memctrl.Results, retErr error) RunResult {
 	return RunResult{
 		Benchmark:    j.benchmark,
 		Policy:       j.kind,
 		Config:       j.cfg.Name,
-		Window:       opts.Measure,
-		Results:      full,
-		RetentionErr: ctl.RetentionErr(),
-	}, nil
+		Window:       j.opts.Measure,
+		Results:      res,
+		Vaults:       vaults,
+		RetentionErr: retErr,
+	}
 }
 
 // jobSetup builds the controller options and the cancellation probe a
@@ -395,12 +433,6 @@ func jobSetup(ctx context.Context, j runJob) (memctrl.Options, func() error) {
 // VaultArray.Results folds whole-run summaries.
 func executeVaulted(ctx context.Context, j runJob, end sim.Time) (RunResult, error) {
 	opts := j.opts
-	if j.retMap != nil {
-		// A per-row retention map is indexed against the monolithic
-		// geometry; reslicing it per vault is future work.
-		return RunResult{}, fmt.Errorf("experiment: run %s/%s/%s: per-row retention maps are not supported on vaulted geometries",
-			j.cfg.Name, j.benchmark, j.kind)
-	}
 	mcOpts, cancelled := jobSetup(ctx, j)
 
 	factory := func(_ int, vcfg config.DRAM) (core.Policy, error) {
@@ -421,19 +453,12 @@ func executeVaulted(ctx context.Context, j runJob, end sim.Time) (RunResult, err
 		front = cache.NewDRAMCache(config.Table2_3DCache())
 	}
 
-	n := va.Vaults()
-	warmModule := make([]dram.ModuleStats, n)
-	warmPolicy := make([]core.PolicyStats, n)
-	warmDropped := make([]uint64, n)
+	warm := make([]warmState, va.Vaults())
 	warmed := false
 	takeWarmupSnapshot := func(t sim.Time) {
 		va.FlushTo(t)
-		for v := 0; v < n; v++ {
-			ctl := va.Vault(v)
-			ctl.Module().Finalize(t)
-			warmModule[v] = ctl.Module().Stats()
-			warmPolicy[v] = ctl.Policy().Stats()
-			warmDropped[v] = ctl.RefreshesDroppedSelfRefresh()
+		for v := range warm {
+			warm[v] = snapshotWarm(va.Vault(v), t)
 		}
 		warmed = true
 	}
@@ -497,21 +522,9 @@ func executeVaulted(ctx context.Context, j runJob, end sim.Time) (RunResult, err
 		P50LatencyNS: whole.P50LatencyNS,
 		P99LatencyNS: whole.P99LatencyNS,
 	}
-	perVault := make([]memctrl.Results, n)
-	for v := 0; v < n; v++ {
-		r := va.Vault(v).Results(end)
-		r.Module = r.Module.Sub(warmModule[v])
-		r.Policy = r.Policy.Sub(warmPolicy[v])
-		r.RefreshesDroppedSelfRefresh -= warmDropped[v]
-		r.Energy = pvCfg.Power.Evaluate(r.Module, r.Policy)
-		r.RefreshOps = r.Module.RefreshOps
-		r.RefreshCBR = r.Module.RefreshCBROps
-		r.RefreshRASOnly = r.Module.RefreshRASOnlyOps
-		r.RefreshPerBank = r.Module.RefreshPerBankOps
-		r.DemandStall = r.Module.DemandStall
-		if opts.Measure > 0 {
-			r.RefreshPerSecond = float64(r.Module.RefreshOps) / opts.Measure.Seconds()
-		}
+	perVault := make([]memctrl.Results, len(warm))
+	for v := range warm {
+		r := warm[v].measure(va.Vault(v), pvCfg.Power, end, opts.Measure)
 		perVault[v] = r
 
 		agg.Requests += r.Requests
@@ -521,24 +534,8 @@ func executeVaulted(ctx context.Context, j runJob, end sim.Time) (RunResult, err
 		agg.Policy = agg.Policy.Add(r.Policy)
 		agg.Energy = agg.Energy.Add(r.Energy)
 	}
-	agg.RefreshOps = agg.Module.RefreshOps
-	agg.RefreshCBR = agg.Module.RefreshCBROps
-	agg.RefreshRASOnly = agg.Module.RefreshRASOnlyOps
-	agg.RefreshPerBank = agg.Module.RefreshPerBankOps
-	agg.DemandStall = agg.Module.DemandStall
-	if opts.Measure > 0 {
-		agg.RefreshPerSecond = float64(agg.Module.RefreshOps) / opts.Measure.Seconds()
-	}
-
-	return RunResult{
-		Benchmark:    j.benchmark,
-		Policy:       j.kind,
-		Config:       j.cfg.Name,
-		Window:       opts.Measure,
-		Results:      agg,
-		Vaults:       perVault,
-		RetentionErr: va.RetentionErr(),
-	}, nil
+	agg.DeriveCounters(opts.Measure)
+	return j.result(agg, perVault, va.RetentionErr()), nil
 }
 
 // cancelCheckStride is how many trace records the simulation loop

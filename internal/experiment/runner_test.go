@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"smartrefresh/internal/memctrl"
 	"smartrefresh/internal/sim"
 	"smartrefresh/internal/workload"
 )
@@ -24,6 +26,7 @@ func TestPolicyKindString(t *testing.T) {
 		PolicyCBR: "cbr", PolicySmart: "smart", PolicyBurst: "burst",
 		PolicyNone: "none", PolicyOracle: "oracle",
 		PolicyDARP: "darp", PolicySARP: "sarp",
+		PolicyRAIDR: "raidr", PolicySmartRetention: "smart-retention",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -146,9 +149,65 @@ func TestRetentionSlackPerPolicy(t *testing.T) {
 			t.Errorf("%v slack %v not above base %v", kind, s, base)
 		}
 	}
+	// raidr keeps CBR's drift-free cadence; smart-retention serialises
+	// like Smart, self-disable slack included.
+	for _, sd := range []bool{false, true} {
+		cfg.Smart.SelfDisable = sd
+		if got, want := RetentionSlack(cfg, PolicyRAIDR, RunOptions{}), RetentionSlack(cfg, PolicyCBR, RunOptions{}); got != want {
+			t.Errorf("self-disable %v: raidr slack %v, want CBR's %v", sd, got, want)
+		}
+		if got, want := RetentionSlack(cfg, PolicySmartRetention, RunOptions{}), RetentionSlack(cfg, PolicySmart, RunOptions{}); got != want {
+			t.Errorf("self-disable %v: smart-retention slack %v, want Smart's %v", sd, got, want)
+		}
+	}
 	withSR := RetentionSlack(cfg, PolicyCBR, RunOptions{SelfRefreshAfter: sim.Millisecond})
 	if withSR <= base {
 		t.Errorf("self-refresh transition slack %v not above base %v", withSR, base)
+	}
+}
+
+// TestResultsMirrorModule: the counters memctrl.Results mirrors from its
+// module stats cover the same window as Results.Module, for every policy
+// NewPolicy builds, monolithic and vaulted, aggregate and per vault. The
+// warmup must hold refresh work of every kind for the check to bite.
+func TestResultsMirrorModule(t *testing.T) {
+	opts := RunOptions{Warmup: 8 * sim.Millisecond, Measure: 16 * sim.Millisecond}
+	var specs []RunSpec
+	for _, cfg := range []ConfigKind{Conv2GB, HMC8V} {
+		for k := PolicyCBR; k <= PolicySARP; k++ {
+			specs = append(specs, RunSpec{Config: cfg, Benchmark: "gcc", Policy: k, Opts: opts})
+		}
+	}
+	res, err := NewEngine(2).RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, r memctrl.Results) {
+		ms := r.Module
+		for _, c := range []struct {
+			field     string
+			got, want uint64
+		}{
+			{"RefreshOps", r.RefreshOps, ms.RefreshOps},
+			{"RefreshCBR", r.RefreshCBR, ms.RefreshCBROps},
+			{"RefreshRASOnly", r.RefreshRASOnly, ms.RefreshRASOnlyOps},
+			{"RefreshPerBank", r.RefreshPerBank, ms.RefreshPerBankOps},
+			{"DemandStall", uint64(r.DemandStall), uint64(ms.DemandStall)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: Results.%s = %d, Module says %d", name, c.field, c.got, c.want)
+			}
+		}
+		if want := float64(ms.RefreshOps) / opts.Measure.Seconds(); r.RefreshPerSecond != want {
+			t.Errorf("%s: RefreshPerSecond = %v, want %v over the measured window", name, r.RefreshPerSecond, want)
+		}
+	}
+	for i, r := range res {
+		name := specs[i].Config.String() + "/" + specs[i].Policy.String()
+		check(name, r.Results)
+		for v, vr := range r.Vaults {
+			check(fmt.Sprintf("%s/vault%d", name, v), vr)
+		}
 	}
 }
 

@@ -659,17 +659,12 @@ func (c *Controller) Results(end sim.Time) Results {
 	ms := c.module.Stats()
 	ps := c.policy.Stats()
 	r := Results{
-		Span:           end,
-		Requests:       c.requests.Value(),
-		RowHits:        c.rowHits.Value(),
-		AvgLatencyNS:   c.latency.Mean(),
-		P50LatencyNS:   c.latencyHist.Quantile(0.5),
-		P99LatencyNS:   c.latencyHist.Quantile(0.99),
-		RefreshOps:     ms.RefreshOps,
-		RefreshCBR:     ms.RefreshCBROps,
-		RefreshRASOnly: ms.RefreshRASOnlyOps,
-		RefreshPerBank: ms.RefreshPerBankOps,
-		DemandStall:    ms.DemandStall,
+		Span:         end,
+		Requests:     c.requests.Value(),
+		RowHits:      c.rowHits.Value(),
+		AvgLatencyNS: c.latency.Mean(),
+		P50LatencyNS: c.latencyHist.Quantile(0.5),
+		P99LatencyNS: c.latencyHist.Quantile(0.99),
 
 		RefreshesDroppedSelfRefresh: c.refreshesDroppedSR,
 
@@ -677,8 +672,24 @@ func (c *Controller) Results(end sim.Time) Results {
 		Policy: ps,
 		Energy: c.cfg.Power.Evaluate(ms, ps),
 	}
-	if end > 0 {
-		r.RefreshPerSecond = float64(ms.RefreshOps) / end.Seconds()
-	}
+	r.DeriveCounters(end)
 	return r
+}
+
+// DeriveCounters sets the fields Results mirrors from r.Module
+// (RefreshOps, RefreshCBR, RefreshRASOnly, RefreshPerBank, DemandStall)
+// and the refresh rate over window (zero for an empty window). It is the
+// one place the mirrors are computed: every producer of a Results calls
+// it once r.Module is final, so they cannot drift from the module stats.
+func (r *Results) DeriveCounters(window sim.Duration) {
+	ms := &r.Module
+	r.RefreshOps = ms.RefreshOps
+	r.RefreshCBR = ms.RefreshCBROps
+	r.RefreshRASOnly = ms.RefreshRASOnlyOps
+	r.RefreshPerBank = ms.RefreshPerBankOps
+	r.DemandStall = ms.DemandStall
+	r.RefreshPerSecond = 0
+	if window > 0 {
+		r.RefreshPerSecond = float64(ms.RefreshOps) / window.Seconds()
+	}
 }

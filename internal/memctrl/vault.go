@@ -279,13 +279,6 @@ func (va *VaultArray) Results(end sim.Time) Results {
 	r.AvgLatencyNS = lat.Mean()
 	r.P50LatencyNS = hist.Quantile(0.5)
 	r.P99LatencyNS = hist.Quantile(0.99)
-	r.RefreshOps = r.Module.RefreshOps
-	r.RefreshCBR = r.Module.RefreshCBROps
-	r.RefreshRASOnly = r.Module.RefreshRASOnlyOps
-	r.RefreshPerBank = r.Module.RefreshPerBankOps
-	r.DemandStall = r.Module.DemandStall
-	if end > 0 {
-		r.RefreshPerSecond = float64(r.Module.RefreshOps) / end.Seconds()
-	}
+	r.DeriveCounters(end)
 	return r
 }
