@@ -19,14 +19,15 @@ ok  	smartrefresh	3.145s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	got := parseBenchOutput(sampleOutput)
+	got := parseBenchSamples(sampleOutput)
 	if len(got) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2", len(got))
 	}
-	par, ok := got["BenchmarkSuiteParallel"]
-	if !ok {
+	pars, ok := got["BenchmarkSuiteParallel"]
+	if !ok || len(pars) != 1 {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %v", got)
 	}
+	par := pars[0]
 	for metric, want := range map[string]float64{
 		"iterations":  1,
 		"ns/op":       1824512345,
@@ -38,8 +39,37 @@ func TestParseBenchOutput(t *testing.T) {
 			t.Errorf("SuiteParallel %s = %v, want %v", metric, par[metric], want)
 		}
 	}
-	if adv := got["BenchmarkSmartPolicyAdvance"]; adv["allocs/op"] != 0 || adv["ns/op"] != 25.62 {
+	if adv := got["BenchmarkSmartPolicyAdvance"][0]; adv["allocs/op"] != 0 || adv["ns/op"] != 25.62 {
 		t.Errorf("SmartPolicyAdvance = %v", adv)
+	}
+}
+
+const countOutput = `BenchmarkControllerSubmit-2   	 1000000	       310.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkControllerSubmit-2   	 1000000	       290.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkControllerSubmit-2   	 1000000	       900.0 ns/op	      16 B/op	       1 allocs/op
+BenchmarkControllerSubmit-2   	 1000000	       300.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkControllerSubmit-2   	 1000000	       305.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkFig6-2   	       1	1000 ns/op
+BenchmarkFig6-2   	       1	3000 ns/op
+`
+
+// TestSummarizeMedianAndSpread checks that -count samples fold to the
+// median (one outlier does not move it) and the max - min spread, with
+// an even sample count averaging the middle pair.
+func TestSummarizeMedianAndSpread(t *testing.T) {
+	med, spread := summarize(parseBenchSamples(countOutput))
+	sub := med["BenchmarkControllerSubmit"]
+	if sub["ns/op"] != 305 || sub["allocs/op"] != 0 || sub["B/op"] != 0 {
+		t.Errorf("ControllerSubmit median = %v", sub)
+	}
+	if got := spread["BenchmarkControllerSubmit"]["ns/op"]; got != 610 {
+		t.Errorf("ControllerSubmit ns/op spread = %v, want 610", got)
+	}
+	if got := med["BenchmarkFig6"]["ns/op"]; got != 2000 {
+		t.Errorf("Fig6 two-sample median = %v, want 2000", got)
+	}
+	if got := spread["BenchmarkFig6"]["ns/op"]; got != 2000 {
+		t.Errorf("Fig6 spread = %v, want 2000", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/dram"
 	"smartrefresh/internal/sim"
@@ -85,10 +86,11 @@ type Smart struct {
 	interval sim.Duration
 	cfg      SmartConfig
 
-	// nRanks, nBanks and nRows are the geometry's dimensions, kept
-	// instead of the Geometry itself so the flat row index arithmetic
-	// of OnRowRestore and runTick never copies the struct.
-	nRanks, nBanks, nRows int
+	// rankBits, bankBits and rowBits are log2 of the geometry's
+	// power-of-two Ranks, Banks and Rows (Geometry.Validate), so the flat
+	// row index arithmetic of OnRowRestore and runTick is shifts and
+	// masks and never copies the Geometry.
+	rankBits, bankBits, rowBits uint
 
 	// counters is stored position-major: slot pos*Segments+seg holds the
 	// counter of logical row seg*rowsPerSeg+pos. A tick indexes one
@@ -110,6 +112,12 @@ type Smart struct {
 	maxFor func(flat int) uint8
 
 	rowsPerSeg int
+
+	// posBits and segBits are log2 of rowsPerSeg and Segments. The total
+	// row count is a power of two (Geometry.Validate) and Segments
+	// divides it, so both are too, and splitting a flat row index into
+	// segment and position is a shift and a mask.
+	posBits, segBits uint
 
 	// clock is the tick schedule: rowsPerSeg ticks per counter access
 	// period (interval / 2^bits). The next tick to execute indexes
@@ -148,14 +156,16 @@ func NewSmart(g dram.Geometry, interval sim.Duration, cfg SmartConfig) *Smart {
 	s := &Smart{
 		interval:   interval,
 		cfg:        cfg,
-		nRanks:     g.Ranks,
-		nBanks:     g.Banks,
-		nRows:      g.Rows,
+		rankBits:   uint(bits.TrailingZeros(uint(g.Ranks))),
+		bankBits:   uint(bits.TrailingZeros(uint(g.Banks))),
+		rowBits:    uint(bits.TrailingZeros(uint(g.Rows))),
 		counters:   make([]uint8, total),
 		zeroCnt:    make([]uint16, total/cfg.Segments),
 		modulus:    1 << cfg.CounterBits,
 		max:        uint8(1<<cfg.CounterBits - 1),
 		rowsPerSeg: total / cfg.Segments,
+		posBits:    uint(bits.TrailingZeros(uint(total / cfg.Segments))),
+		segBits:    uint(bits.TrailingZeros(uint(cfg.Segments))),
 		clock:      newSlotClock(0, interval/sim.Duration(int64(1)<<cfg.CounterBits), int64(total/cfg.Segments)),
 		pending:    make([]Command, 0, cfg.QueueDepth),
 		cbr:        NewCBR(g, interval),
@@ -193,7 +203,7 @@ func (s *Smart) Reset(start sim.Time) {
 // slot maps a logical flat row index to its packed counter slot
 // (position-major storage; see the counters field).
 func (s *Smart) slot(flat int) int {
-	return (flat%s.rowsPerSeg)*s.cfg.Segments + flat/s.rowsPerSeg
+	return (flat&(s.rowsPerSeg-1))<<s.segBits + flat>>s.posBits
 }
 
 // rebuildZeroCounts recomputes the per-position zero-counter summary from
@@ -258,7 +268,7 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 	flat := s.flatRow(row)
 	slot := s.slot(flat)
 	if s.counters[slot] == 0 {
-		s.zeroCnt[flat%s.rowsPerSeg]--
+		s.zeroCnt[flat&(s.rowsPerSeg-1)]--
 	}
 	s.counters[slot] = s.resetValue(flat)
 	s.stats.AccessResets++
@@ -267,7 +277,7 @@ func (s *Smart) OnRowRestore(t sim.Time, row dram.RowID) {
 
 // flatRow is RowID.Flat over the cached geometry.
 func (s *Smart) flatRow(row dram.RowID) int {
-	return ((row.Channel*s.nRanks+row.Rank)*s.nBanks+row.Bank)*s.nRows + row.Row
+	return ((row.Channel<<s.rankBits+row.Rank)<<s.bankBits+row.Bank)<<s.rowBits + row.Row
 }
 
 // NextTick implements Policy.
@@ -339,7 +349,7 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 	} else {
 		for seg, c := range slots {
 			if c == 0 {
-				flat := seg*s.rowsPerSeg + pos
+				flat := seg<<s.posBits + pos
 				slots[seg] = s.resetValue(flat)
 				s.zeroCnt[pos]--
 				if len(s.pending) >= s.cfg.QueueDepth {
@@ -347,11 +357,11 @@ func (s *Smart) runTick(now sim.Time, dst []Command) []Command {
 					// queue drains every Advance; guarded as an invariant.
 					panic("core: pending refresh request queue overflow")
 				}
-				fbank := flat / s.nRows
-				frank := fbank / s.nBanks
+				fbank := flat >> s.rowBits
+				frank := fbank >> s.bankBits
 				s.pending = append(s.pending, Command{
-					Bank: dram.BankID{Channel: frank / s.nRanks, Rank: frank % s.nRanks, Bank: fbank % s.nBanks},
-					Row:  flat % s.nRows,
+					Bank: dram.BankID{Channel: frank >> s.rankBits, Rank: frank & (1<<s.rankBits - 1), Bank: fbank & (1<<s.bankBits - 1)},
+					Row:  flat & (1<<s.rowBits - 1),
 					Kind: dram.RefreshRASOnly,
 				})
 				generated++

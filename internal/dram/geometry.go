@@ -53,10 +53,16 @@ type Geometry struct {
 	Layers int
 }
 
+// maxBurstLength bounds Geometry.BurstLength. DDR bursts are 4 to 16
+// beats; the bound keeps a burst's duration (beats x tCK / 2) far inside
+// the int64 picosecond range for any valid Timing.
+const maxBurstLength = 1 << 10
+
 // Validate reports an error if any geometry field is non-positive, a row
 // or bank count is not a power of two (address mapping requires it), the
 // vault/layer dimensions are inconsistent, or a dimension product would
-// overflow the int arithmetic of TotalRows/RowID.Flat.
+// overflow the int arithmetic of TotalRows/RowID.Flat, or the burst
+// length exceeds maxBurstLength.
 func (g Geometry) Validate() error {
 	type field struct {
 		name string
@@ -71,6 +77,9 @@ func (g Geometry) Validate() error {
 		if f.v <= 0 {
 			return fmt.Errorf("dram: geometry field %s = %d, must be positive", f.name, f.v)
 		}
+	}
+	if g.BurstLength > maxBurstLength {
+		return fmt.Errorf("dram: geometry field BurstLength = %d, above the %d bound", g.BurstLength, maxBurstLength)
 	}
 	for _, f := range []field{
 		{"Channels", g.Channels}, {"Ranks", g.Ranks}, {"Banks", g.Banks},

@@ -236,6 +236,9 @@ func (s ModuleStats) Add(o ModuleStats) ModuleStats {
 	}
 }
 
+// Every time stored in bankState, rankState's activate trackers and
+// channelState is a command-clock edge (see Module.entry), so a timing
+// step is an add of a delay from cycleDelays.
 type bankState struct {
 	openRow       int // -1 when precharged
 	readyAt       sim.Time
@@ -287,11 +290,11 @@ type rankState struct {
 
 // activateOKAt returns the earliest time a new activate may issue in the
 // rank under tRRD and tFAW.
-func (r *rankState) activateOKAt(t *Timing) sim.Time {
-	earliest := r.lastActivate + t.TRRD
+func (r *rankState) activateOKAt(d *cycleDelays) sim.Time {
+	earliest := r.lastActivate + d.tRRD
 	// The oldest of the last four activates bounds the fifth.
 	oldest := r.actWindow[r.actWindowPos]
-	if faw := oldest + t.TFAW; faw > earliest {
+	if faw := oldest + d.tFAW; faw > earliest {
 		earliest = faw
 	}
 	return earliest
@@ -305,7 +308,36 @@ func (r *rankState) recordActivate(at sim.Time) {
 }
 
 type channelState struct {
-	busFreeAt sim.Time
+	busFreeAt sim.Time // first edge at or after the last data beat
+}
+
+// cycleDelays holds the command delays rounded up to whole command clocks
+// once, at construction. Every stored command time is a clock edge, and
+// for an edge e and a delay d, Next(e+d) = e + Next(d); so each timing
+// step of the command path is one add, with no rounding per command.
+type cycleDelays struct {
+	tRCD, tRP, tCL, tRAS, tRC, tRTP, tCCD, tRRD, tFAW sim.Duration
+
+	burst   sim.Duration // data-bus occupancy of one burst
+	burstWR sim.Duration // data start to precharge after a write: burst + tWR
+	refRow  sim.Duration // TRefreshRow: RAS-only and CBR refresh occupancy
+	refPB   sim.Duration // PerBankRefreshDuration: REFpb occupancy
+}
+
+// newCycleDelays rounds t's delays for a burst of bl beats up to whole
+// periods of clk.
+func newCycleDelays(t Timing, bl int, clk sim.Clock) cycleDelays {
+	up := func(d sim.Duration) sim.Duration { return sim.Duration(clk.Cycles(d)) * clk.Period() }
+	burst := t.BurstDuration(bl)
+	return cycleDelays{
+		tRCD: up(t.TRCD), tRP: up(t.TRP), tCL: up(t.TCL), tRAS: up(t.TRAS),
+		tRC: up(t.TRC), tRTP: up(t.TRTP), tCCD: up(t.TCCD), tRRD: up(t.TRRD),
+		tFAW:    up(t.TFAW),
+		burst:   up(burst),
+		burstWR: up(burst + t.TWR),
+		refRow:  up(t.TRefreshRow),
+		refPB:   up(t.PerBankRefreshDuration()),
+	}
 }
 
 // Module is a DRAM module with open-page row-buffer policy. It is not safe
@@ -319,9 +351,9 @@ type Module struct {
 	// the per-command paths never copy the Geometry or Timing structs
 	// (both too large for register passing) into a by-value call.
 	nChannels, nRanks, nBanks, nRows, nColumns int
-	burst                                      sim.Duration // BurstDuration(BurstLength)
-	refPB                                      sim.Duration // PerBankRefreshDuration()
+	burst                                      sim.Duration // BurstDuration(BurstLength), unrounded
 	exitFast, exitSlow                         sim.Duration // PowerDownExitFast/Slow()
+	d                                          cycleDelays
 
 	banks    []bankState
 	ranks    []rankState
@@ -368,7 +400,6 @@ func NewModule(g Geometry, t Timing) *Module {
 		nRows:       g.Rows,
 		nColumns:    g.Columns,
 		burst:       t.BurstDuration(g.BurstLength),
-		refPB:       t.PerBankRefreshDuration(),
 		exitFast:    t.PowerDownExitFast(),
 		exitSlow:    t.PowerDownExitSlow(),
 		banks:       make([]bankState, g.TotalBanks()),
@@ -377,12 +408,14 @@ func NewModule(g Geometry, t Timing) *Module {
 		cbrCounters: make([]int, g.TotalBanks()),
 		subRows:     subarrayRows(g.Rows),
 	}
+	m.d = newCycleDelays(t, g.BurstLength, m.clk)
 	for i := range m.banks {
 		m.banks[i].openRow = -1
 	}
-	// Seed the activate-rate trackers far in the past so the first
-	// activates are not rate-limited by the zero value.
-	const farPast = sim.Time(-1) << 40
+	// Seed the activate-rate trackers far in the past (on a clock edge,
+	// like every stored command time) so the first activates are not
+	// rate-limited by the zero value.
+	farPast := (sim.Time(-1) << 40) / t.TCK * t.TCK
 	for i := range m.ranks {
 		m.ranks[i].lastActivate = farPast
 		for j := range m.ranks[i].actWindow {
@@ -478,6 +511,18 @@ func (m *Module) closeBank(b *bankState, ri int, t sim.Time) {
 	b.openRow = -1
 }
 
+// entry returns the clock edge a command presented at the outside time t
+// issues at, given ready, the stored edge its bank is busy until. This is
+// where a time from outside the module is rounded onto the command clock,
+// once; when the bank is busy past t no rounding is needed, since
+// Next(max(t, ready)) = max(Next(t), ready) for an edge ready.
+func (m *Module) entry(t, ready sim.Time) sim.Time {
+	if t > ready {
+		return m.clk.Next(t)
+	}
+	return ready
+}
+
 // Access performs one demand read or write under the open-page policy and
 // fills res with the command/data timing plus which rows were opened or
 // closed; every field of res is overwritten. The request is presented at
@@ -503,7 +548,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult)
 		// to it serializes behind the refresh (other subarrays proceed).
 		ready = b.srefUntil
 	}
-	issue := m.clk.Next(sim.Max(t, ready))
+	issue := m.entry(t, ready)
 	if issue > t {
 		m.stats.DemandStall += issue - t
 	}
@@ -529,7 +574,7 @@ func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult)
 			// activate the requested row.
 			m.stats.RowConflicts++
 			res.Conflict = true
-			pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+			pre := sim.Max(issue, b.prechargeOKAt)
 			res.ClosedRow = RowID{Channel: addr.Channel, Rank: addr.Rank, Bank: addr.Bank, Row: b.openRow}
 			res.ClosedRowSet = true
 			if m.trace != nil {
@@ -537,17 +582,16 @@ func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult)
 			}
 			m.closeBank(b, ri, pre)
 			m.stats.Precharges++
-			act = pre + m.tim.TRP
+			act = pre + m.d.tRP
 		}
 		act = sim.Max(act, b.activateOKAt)
-		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.tim))
-		act = m.clk.Next(act)
+		act = sim.Max(act, m.ranks[ri].activateOKAt(&m.d))
 		m.openBank(b, ri, addr.Row, act)
 		m.ranks[ri].recordActivate(act)
 		m.stats.Activates++
-		b.activateOKAt = act + m.tim.TRC
-		b.prechargeOKAt = act + m.tim.TRAS
-		cas = m.clk.Next(act + m.tim.TRCD)
+		b.activateOKAt = act + m.d.tRC
+		b.prechargeOKAt = act + m.d.tRAS
+		cas = act + m.d.tRCD
 		res.OpenedRow, res.OpenedRowSet = addr.RowID, true
 		res.ActivateAt = act
 		if m.trace != nil {
@@ -555,24 +599,26 @@ func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult)
 		}
 	}
 
-	dataStart := m.clk.Next(sim.Max(cas+m.tim.TCL, ch.busFreeAt))
+	dataStart := sim.Max(cas+m.d.tCL, ch.busFreeAt)
+	// The last data beat need not fall on an edge (an odd burst length);
+	// the bus is free again at the first edge after it.
 	dataDone := dataStart + m.burst
-	ch.busFreeAt = dataDone
+	ch.busFreeAt = dataStart + m.d.burst
 	res.DataStart = dataStart
 	res.Done = dataDone
 
 	// Next column command to this bank.
-	b.readyAt = m.clk.Next(sim.Max(cas+m.tim.TCCD, dataStart))
+	b.readyAt = sim.Max(cas+m.d.tCCD, dataStart)
 	// Write recovery / read-to-precharge constraints.
 	if write {
 		m.stats.Writes++
-		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataDone+m.tim.TWR)
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, dataStart+m.d.burstWR)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdWrite, bi, addr.Row, dataStart, dataDone)
 		}
 	} else {
 		m.stats.Reads++
-		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+m.tim.TRTP)
+		b.prechargeOKAt = sim.Max(b.prechargeOKAt, cas+m.d.tRTP)
 		if m.trace != nil {
 			m.trace.Command(telemetry.CmdRead, bi, addr.Row, dataStart, dataDone)
 		}
@@ -587,14 +633,14 @@ func (m *Module) Access(t sim.Time, addr Address, write bool, res *AccessResult)
 // case the paper describes). Like every refresh operation it fills the
 // caller-owned res, overwriting every field.
 func (m *Module) RefreshRow(t sim.Time, row RowID, res *RefreshResult) {
-	m.refreshDur(t, row, RefreshRASOnly, m.tim.TRefreshRow, res)
+	m.refreshDur(t, row, RefreshRASOnly, m.d.refRow, res)
 }
 
 // RefreshNextCBR performs a CBR refresh on the given bank: the module's
 // internal counter supplies the row and then increments, wrapping at the
 // row count (section 3: "There is no way to reset the counter once set").
 func (m *Module) RefreshNextCBR(t sim.Time, bank BankID, res *RefreshResult) {
-	m.refreshDur(t, m.nextCounterRow(bank), RefreshCBR, m.tim.TRefreshRow, res)
+	m.refreshDur(t, m.nextCounterRow(bank), RefreshCBR, m.d.refRow, res)
 }
 
 // CBRCounter exposes a bank's internal refresh counter (for tests).
@@ -630,7 +676,7 @@ func subarrayRows(rows int) int {
 // serving demand. An open page is closed first, as with the other
 // refresh styles.
 func (m *Module) RefreshBank(t sim.Time, bank BankID, res *RefreshResult) {
-	m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.refPB, res)
+	m.refreshDur(t, m.nextCounterRow(bank), RefreshPerBank, m.d.refPB, res)
 }
 
 // RefreshBankOverlapped performs a per-bank refresh that parallelizes
@@ -653,20 +699,19 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID, res *RefreshResu
 		panic(fmt.Sprintf("dram: refresh to rank ch%d/rk%d in self-refresh", row.Channel, row.Rank))
 	}
 	b := &m.banks[bi]
-	dur := m.refPB
 
-	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	issue := m.entry(t, b.readyAt)
 	res.set(row, RefreshPerBank, issue)
 	start := issue
 
 	if b.openRow != -1 && b.openRow/m.subRows == row.Row/m.subRows {
 		// The open page lives in the refreshing subarray: it must close
 		// first — the same conflict case as a blocking refresh.
-		start = m.clk.Next(m.refreshClose(res, bi, row, issue))
+		start = m.refreshClose(res, bi, row, issue)
 	}
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
+	start = sim.Max(start, m.ranks[ri].activateOKAt(&m.d))
 	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + dur)
+	done := start + m.d.refPB
 
 	if b.openRow == -1 {
 		// Bank precharged: the refresh is the only activity; count the
@@ -674,7 +719,7 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID, res *RefreshResu
 		// immediately (two clocks of command-bus turnaround).
 		m.openBank(b, ri, row.Row, start)
 		m.closeBank(b, ri, done)
-		b.readyAt = sim.Max(b.readyAt, m.clk.Next(start+2*m.tim.TCK))
+		b.readyAt = sim.Max(b.readyAt, start+2*m.tim.TCK)
 		b.prechargeOKAt = sim.Max(b.prechargeOKAt, b.readyAt)
 	}
 	// With a surviving open page in another subarray the bank state is
@@ -695,22 +740,24 @@ func (m *Module) RefreshBankOverlapped(t sim.Time, bank BankID, res *RefreshResu
 // refreshClose closes flat bank bi's open page ahead of a refresh of a
 // row in that bank issued at issue — a conflict refresh. The precharge
 // write-back restores the page's cells, which res reports as ClosedRow.
-// It returns when the precharge completes (tRP after it issues).
+// It returns the first edge after the precharge completes (tRP after it
+// issues).
 func (m *Module) refreshClose(res *RefreshResult, bi int, in RowID, issue sim.Time) sim.Time {
 	b := &m.banks[bi]
 	res.ClosedOpenRow = true
 	res.ClosedRow = RowID{Channel: in.Channel, Rank: in.Rank, Bank: in.Bank, Row: b.openRow}
-	pre := m.clk.Next(sim.Max(issue, b.prechargeOKAt))
+	pre := sim.Max(issue, b.prechargeOKAt)
 	if m.trace != nil {
 		m.trace.Command(telemetry.CmdPrecharge, bi, b.openRow, pre, pre+m.tim.TRP)
 	}
 	m.closeBank(b, bi/m.nBanks, pre)
 	m.stats.Precharges++
 	m.stats.RefreshConflictOps++
-	return pre + m.tim.TRP
+	return pre + m.d.tRP
 }
 
-// refreshDur is the blocking refresh: the bank is fully occupied for dur.
+// refreshDur is the blocking refresh: the bank is fully occupied for dur,
+// a delay from cycleDelays.
 func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Duration, res *RefreshResult) {
 	if !m.validRow(row) {
 		panic(fmt.Sprintf("dram: refresh of invalid row %+v", row))
@@ -723,25 +770,25 @@ func (m *Module) refreshDur(t sim.Time, row RowID, kind RefreshKind, dur sim.Dur
 	}
 	b := &m.banks[bi]
 
-	issue := m.clk.Next(sim.Max(t, b.readyAt))
+	issue := m.entry(t, b.readyAt)
 	res.set(row, kind, issue)
 
 	start := issue
 	if b.openRow != -1 {
-		start = m.clk.Next(m.refreshClose(res, bi, row, issue))
+		start = m.refreshClose(res, bi, row, issue)
 	}
 	start = sim.Max(start, b.activateOKAt)
-	start = m.clk.Next(sim.Max(start, m.ranks[ri].activateOKAt(&m.tim)))
+	start = sim.Max(start, m.ranks[ri].activateOKAt(&m.d))
 
 	// The refresh itself: internal activate + restore + precharge (the
 	// paper's 70 ns row refresh, or tRFCpb for a per-bank command). The
 	// bank ends precharged. Count the rank as active for the duration.
 	m.openBank(b, ri, row.Row, start)
 	m.ranks[ri].recordActivate(start)
-	done := m.clk.Next(start + dur)
+	done := start + dur
 	m.closeBank(b, ri, done)
 	b.readyAt = done
-	b.activateOKAt = sim.Max(b.activateOKAt, start+m.tim.TRC)
+	b.activateOKAt = sim.Max(b.activateOKAt, start+m.d.tRC)
 	b.prechargeOKAt = done
 	res.Done = done
 
@@ -789,11 +836,11 @@ func (m *Module) PrechargeBank(t sim.Time, bank BankID) (RowID, bool) {
 	if b.openRow == -1 {
 		return RowID{}, false
 	}
-	pre := m.clk.Next(sim.Max(t, b.prechargeOKAt))
+	pre := m.entry(t, b.prechargeOKAt)
 	row := RowID{Channel: bank.Channel, Rank: bank.Rank, Bank: bank.Bank, Row: b.openRow}
 	m.closeBank(b, ri, pre)
 	m.stats.Precharges++
-	done := m.clk.Next(pre + m.tim.TRP)
+	done := pre + m.d.tRP
 	b.readyAt = sim.Max(b.readyAt, done)
 	b.prechargeOKAt = done
 	m.observe(done)

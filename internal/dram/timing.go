@@ -65,6 +65,12 @@ type Timing struct {
 	RefreshInterval sim.Duration
 }
 
+// maxCommandDelay bounds every command timing field (all but
+// RefreshInterval). Real devices are in the nanoseconds; the bound keeps
+// the module's whole-clock delays (a field plus one clock, a burst plus
+// tWR) far inside the int64 picosecond range.
+const maxCommandDelay = sim.Second
+
 // Validate reports an error for inconsistent timing.
 func (t Timing) Validate() error {
 	type f struct {
@@ -80,6 +86,17 @@ func (t Timing) Validate() error {
 	} {
 		if x.v <= 0 {
 			return fmt.Errorf("dram: timing field %s = %d, must be positive", x.name, int64(x.v))
+		}
+	}
+	for _, x := range []f{
+		{"TCK", t.TCK}, {"TRCD", t.TRCD}, {"TRP", t.TRP}, {"TCL", t.TCL},
+		{"TRAS", t.TRAS}, {"TRC", t.TRC}, {"TWR", t.TWR}, {"TRTP", t.TRTP},
+		{"TCCD", t.TCCD}, {"TRRD", t.TRRD}, {"TFAW", t.TFAW},
+		{"TRefreshRow", t.TRefreshRow}, {"TRFCpb", t.TRFCpb}, {"TRFCab", t.TRFCab},
+		{"TXSNR", t.TXSNR}, {"TXP", t.TXP}, {"TXPDLL", t.TXPDLL}, {"TXSRD", t.TXSRD},
+	} {
+		if x.v > maxCommandDelay {
+			return fmt.Errorf("dram: timing field %s = %v, above the %v bound", x.name, x.v, maxCommandDelay)
 		}
 	}
 	if t.TRC < t.TRAS+t.TRP {

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smartrefresh/internal/config"
 	"smartrefresh/internal/core"
@@ -122,8 +123,11 @@ type Controller struct {
 	lastbusy sim.Time // completion time of the latest demand access
 
 	// nRanks and nBanks cache Geometry.Ranks and Geometry.Banks for the
-	// per-request rank and flat-bank index arithmetic.
-	nRanks, nBanks int
+	// per-request rank and flat-bank index arithmetic; rankBits and
+	// bankBits are their log2 (both are powers of two), for the flat-bank
+	// split on the idle-close path.
+	nRanks, nBanks     int
+	rankBits, bankBits uint
 
 	idleClose sim.Duration // page-close timeout (<0: never)
 	banks     []bankIdle   // per flat bank: last activity and heap membership
@@ -171,6 +175,8 @@ func New(cfg config.DRAM, policy core.Policy, opts Options) (*Controller, error)
 		latencyHist: stats.NewHistogram(latencyHistBuckets, latencyHistWidth),
 		nRanks:      cfg.Geometry.Ranks,
 		nBanks:      cfg.Geometry.Banks,
+		rankBits:    uint(bits.TrailingZeros(uint(cfg.Geometry.Ranks))),
+		bankBits:    uint(bits.TrailingZeros(uint(cfg.Geometry.Banks))),
 		idleClose:   idleClose,
 		banks:       make([]bankIdle, cfg.Geometry.TotalBanks()),
 		interrupt:   opts.Interrupt,
@@ -431,8 +437,8 @@ func (c *Controller) nextIdleClose() (sim.Time, int, bool) {
 // closeIdleBank precharges one bank at its page-close deadline and
 // reports the restored row (a precharge write-back restores cells).
 func (c *Controller) closeIdleBank(deadline sim.Time, flat int) {
-	ri := flat / c.nBanks
-	bank := dram.BankID{Channel: ri / c.nRanks, Rank: ri % c.nRanks, Bank: flat % c.nBanks}
+	ri := flat >> c.bankBits
+	bank := dram.BankID{Channel: ri >> c.rankBits, Rank: ri & (1<<c.rankBits - 1), Bank: flat & (1<<c.bankBits - 1)}
 	if c.ps.enabled && c.ps.ranks[ri].state == PSActPdn {
 		// The rank dozed off in ACT-PDN with this page open; wake it
 		// (not demand — the idle clock keeps running) so the precharge

@@ -43,21 +43,34 @@ func (i Interleave) String() string {
 // of a "column" here is one burst (AccessBytes), so one mapped column
 // corresponds to one data transfer.
 type Mapper struct {
-	geom   dram.Geometry
-	scheme Interleave
+	burstLength int
 
-	lineShift  uint // log2 of burst bytes
-	colBits    uint
-	bankBits   uint
-	rankBits   uint
-	chanBits   uint
-	rowBits    uint
+	// lineShift is log2 of the burst bytes. Above it, each coordinate is
+	// one bit field of the burst-unit address; the interleave fixes the
+	// order of the fields once, in NewMapper.
+	lineShift                     uint
+	col, bank, rank, channel, row bitField
+
 	capacity   int64
 	burstBytes int64
+
+	// wrapMask is capacity-1 when capacity is a power of two, so Map wraps
+	// with a mask; zero otherwise, and Map wraps with %. DataWidthBits is
+	// not required to be a power of two, so the capacity need not be.
+	wrapMask uint64
 }
 
+// bitField is one coordinate's bits of a burst-unit address.
+type bitField struct {
+	shift uint
+	mask  uint64
+}
+
+func (f bitField) get(a uint64) int { return int(a >> f.shift & f.mask) }
+
 // NewMapper builds a mapper for the geometry. It panics on a geometry
-// whose dimensions are not powers of two (Validate enforces that).
+// whose dimensions are not powers of two (Validate enforces that) and on
+// an unknown interleave.
 func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
 	if err := g.Validate(); err != nil {
 		panic(err)
@@ -71,18 +84,38 @@ func NewMapper(g dram.Geometry, scheme Interleave) *Mapper {
 	if colUnits <= 0 || colUnits&(colUnits-1) != 0 {
 		panic(fmt.Sprintf("memctrl: %d column units not a power of two", colUnits))
 	}
-	return &Mapper{
-		geom:       g,
-		scheme:     scheme,
-		lineShift:  uint(bits.TrailingZeros64(uint64(burst))),
-		colBits:    uint(bits.TrailingZeros64(uint64(colUnits))),
-		bankBits:   uint(bits.TrailingZeros64(uint64(g.Banks))),
-		rankBits:   uint(bits.TrailingZeros64(uint64(g.Ranks))),
-		chanBits:   uint(bits.TrailingZeros64(uint64(g.Channels))),
-		rowBits:    uint(bits.TrailingZeros64(uint64(g.Rows))),
-		capacity:   g.CapacityBytes(),
-		burstBytes: burst,
+	capacity := g.CapacityBytes()
+	m := &Mapper{
+		burstLength: g.BurstLength,
+		lineShift:   uint(bits.TrailingZeros64(uint64(burst))),
+		capacity:    capacity,
+		burstBytes:  burst,
 	}
+	if capacity&(capacity-1) == 0 {
+		m.wrapMask = uint64(capacity) - 1
+	}
+	type dim struct {
+		f *bitField
+		n int
+	}
+	col, bank, rank := dim{&m.col, colUnits}, dim{&m.bank, g.Banks}, dim{&m.rank, g.Ranks}
+	ch, row := dim{&m.channel, g.Channels}, dim{&m.row, g.Rows}
+	var order []dim // lowest field first
+	switch scheme {
+	case RowRankBankColumn:
+		order = []dim{col, bank, rank, ch, row}
+	case RowColumnRankBank:
+		order = []dim{bank, rank, ch, col, row}
+	default:
+		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(scheme)))
+	}
+	shift := uint(0)
+	for _, d := range order {
+		n := uint(bits.TrailingZeros64(uint64(d.n)))
+		*d.f = bitField{shift: shift, mask: 1<<n - 1}
+		shift += n
+	}
+	return m
 }
 
 // Capacity returns the addressable bytes.
@@ -95,63 +128,26 @@ func (m *Mapper) BurstBytes() int64 { return m.burstBytes }
 // DRAM coordinates. The returned Column is in burst units scaled back to
 // device columns.
 func (m *Mapper) Map(phys uint64) dram.Address {
-	a := phys % uint64(m.capacity)
+	var a uint64
+	if m.wrapMask != 0 {
+		a = phys & m.wrapMask
+	} else {
+		a = phys % uint64(m.capacity)
+	}
 	a >>= m.lineShift
-
-	take := func(n uint) int {
-		v := int(a & ((1 << n) - 1))
-		a >>= n
-		return v
-	}
-
-	var col, bank, rank, ch, row int
-	switch m.scheme {
-	case RowRankBankColumn:
-		col = take(m.colBits)
-		bank = take(m.bankBits)
-		rank = take(m.rankBits)
-		ch = take(m.chanBits)
-		row = take(m.rowBits)
-	case RowColumnRankBank:
-		bank = take(m.bankBits)
-		rank = take(m.rankBits)
-		ch = take(m.chanBits)
-		col = take(m.colBits)
-		row = take(m.rowBits)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(m.scheme)))
-	}
 	return dram.Address{
-		RowID:  dram.RowID{Channel: ch, Rank: rank, Bank: bank, Row: row},
-		Column: col * m.geom.BurstLength,
+		RowID:  dram.RowID{Channel: m.channel.get(a), Rank: m.rank.get(a), Bank: m.bank.get(a), Row: m.row.get(a)},
+		Column: m.col.get(a) * m.burstLength,
 	}
 }
 
 // Unmap is the inverse of Map for addresses aligned to a burst; it returns
 // the lowest physical address mapping to the coordinates.
 func (m *Mapper) Unmap(addr dram.Address) uint64 {
-	col := uint64(addr.Column / m.geom.BurstLength)
-	bank := uint64(addr.Bank)
-	rank := uint64(addr.Rank)
-	ch := uint64(addr.Channel)
-	row := uint64(addr.Row)
-
-	var a uint64
-	switch m.scheme {
-	case RowRankBankColumn:
-		a = col
-		a |= bank << m.colBits
-		a |= rank << (m.colBits + m.bankBits)
-		a |= ch << (m.colBits + m.bankBits + m.rankBits)
-		a |= row << (m.colBits + m.bankBits + m.rankBits + m.chanBits)
-	case RowColumnRankBank:
-		a = bank
-		a |= rank << m.bankBits
-		a |= ch << (m.bankBits + m.rankBits)
-		a |= col << (m.bankBits + m.rankBits + m.chanBits)
-		a |= row << (m.bankBits + m.rankBits + m.chanBits + m.colBits)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown interleave %d", int(m.scheme)))
-	}
+	a := uint64(addr.Column/m.burstLength)<<m.col.shift |
+		uint64(addr.Bank)<<m.bank.shift |
+		uint64(addr.Rank)<<m.rank.shift |
+		uint64(addr.Channel)<<m.channel.shift |
+		uint64(addr.Row)<<m.row.shift
 	return a << m.lineShift
 }

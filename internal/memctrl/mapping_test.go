@@ -122,3 +122,37 @@ func TestInterleaveString(t *testing.T) {
 		t.Error("unknown scheme should render")
 	}
 }
+
+// TestMapperWrapsByModulo checks that Map wraps a physical address
+// modulo the capacity on both wrap paths: the mask a power-of-two
+// capacity allows (the paper's 72-bit ECC module) and the % kept for a
+// data width that makes the capacity no power of two.
+func TestMapperWrapsByModulo(t *testing.T) {
+	base := dram.Geometry{Channels: 1, Ranks: 2, Banks: 4, Rows: 1 << 10, Columns: 1 << 10,
+		BurstLength: 4, DevicesPerRank: 18}
+	for _, tc := range []struct {
+		width    int
+		capacity int64
+		masked   bool
+	}{
+		{72, 64 << 20, true},  // 64 data bits per column: 64 MiB
+		{20, 20 << 20, false}, // 2.5 bytes per column: 20 MiB
+	} {
+		g := base
+		g.DataWidthBits = tc.width
+		m := NewMapper(g, RowRankBankColumn)
+		if m.Capacity() != tc.capacity || (m.wrapMask != 0) != tc.masked {
+			t.Fatalf("width %d: capacity %d, masked %v; want %d, %v",
+				tc.width, m.Capacity(), m.wrapMask != 0, tc.capacity, tc.masked)
+		}
+		c := uint64(m.Capacity())
+		for _, phys := range []uint64{0, 32, c - 1, c, c + 32, 3*c + 4096, 1<<40 + 12345, 1<<64 - 1} {
+			if got, want := m.Map(phys), m.Map(phys%c); got != want {
+				t.Errorf("width %d: Map(%d) = %+v, Map(%d %% capacity) = %+v", tc.width, phys, got, phys, want)
+			}
+			if a := m.Map(phys); !a.Valid(g) {
+				t.Errorf("width %d: Map(%d) = %+v invalid", tc.width, phys, a)
+			}
+		}
+	}
+}
